@@ -1,9 +1,10 @@
 """vconn: vertex-connectivity toolkit for directed graphs.
 
 Strong articulation points, dominator trees, 2-/3-/k-vertex-connected
-components (four interchangeable 2-vcc algorithms), and approximately
-minimum sparsifiers that preserve 2-vertex-connected structure, plus the
-brute-force oracles and generators used to validate all of it.
+components (a dominator-tree 2-vcc engine plus three reference variants
+with the same output), and approximately minimum sparsifiers that preserve
+2-vertex-connected structure, plus the brute-force oracles and generators
+used to validate all of it.
 """
 
 from .articulation import is_2vertex_connected, strong_articulation_points

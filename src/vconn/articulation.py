@@ -10,7 +10,7 @@ flowgraphs rooted at the pivot in the graph and in its reversal.
 from __future__ import annotations
 
 from .connectivity import _scc_ids, is_strongly_connected
-from .dominators import dominator_tree, nontrivial_dominators
+from .dominators import DominatorTree, dominator_tree, nontrivial_dominators
 from .errors import NotStronglyConnected
 from .graph import DiGraph, reverse
 
@@ -25,16 +25,27 @@ def strong_articulation_points(g: DiGraph, pivot: int = 0) -> set[int]:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
         return set()
-    points: set[int] = set()
-    _, ncomp = _scc_ids(n, g.out_adj, skip=pivot)
+    return _points_and_trees(g, pivot)[0]
+
+
+def _points_and_trees(
+    g: DiGraph, pivot: int = 0
+) -> tuple[set[int], DominatorTree, DominatorTree]:
+    """Strong articulation points of g, with the dominator trees of (g,
+    pivot) and (reverse(g), pivot) they were read from.
+
+    The caller guarantees that g is strongly connected with n >= 3, so
+    callers that go on to need those two trees need not build them again.
+    """
+    _, ncomp = _scc_ids(g.n, g.out_adj, skip=pivot)
+    t_fwd = dominator_tree(g, pivot)
+    t_rev = dominator_tree(reverse(g), pivot)
+    points = nontrivial_dominators(t_fwd) | nontrivial_dominators(t_rev)
     if ncomp != 1:
         points.add(pivot)
-    points |= nontrivial_dominators(dominator_tree(g, pivot))
-    points |= nontrivial_dominators(dominator_tree(reverse(g), pivot))
-    return points
+    return points, t_fwd, t_rev
 
 
 def is_2vertex_connected(g: DiGraph) -> bool:

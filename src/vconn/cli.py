@@ -16,7 +16,7 @@ from . import testkit
 from .articulation import strong_articulation_points
 from .connectivity import strongly_connected_components
 from .dominators import dominator_tree
-from .errors import GraphError, MismatchedOutputs
+from .errors import EdgeListFormatError, GraphError, MismatchedOutputs
 from .graph import DiGraph, format_edge_list, induced_subgraph, read_edge_list
 from .kvcc import k_vccs, min_vertex_cut
 from .sparsify import sparsify_problem1, sparsify_problem2, sparsify_problem3
@@ -37,10 +37,17 @@ class BenchRecord:
 
 
 def _load_graph(path: str) -> DiGraph:
-    if path == "-":
-        return read_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as handle:
-        return read_edge_list(handle.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise EdgeListFormatError(
+            f"{path}: not ASCII text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return read_edge_list(text)
 
 
 def _print_components(comps, as_json: bool) -> None:
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0, help="start vertex (default 0)")
     add_graph_cmd("sap", _cmd_sap, "strong articulation points, one id per line")
     p = add_graph_cmd("2vcc", _cmd_2vcc, "2-vertex-connected components")
-    p.add_argument("--algo", choices=VARIANTS, default="split")
+    p.add_argument("--algo", choices=VARIANTS, default="domtree")
     p = add_graph_cmd("kvcc", _cmd_kvcc, "k-vertex-connected components")
     p.add_argument("-k", type=int, required=True)
     add_graph_cmd("cut", _cmd_cut, "a minimum vertex cut")

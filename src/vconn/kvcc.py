@@ -17,7 +17,7 @@ from ._flow import FlowNetwork
 from .connectivity import _group_components, _scc_ids, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
-from .twovcc import ComponentList, two_vccs_split
+from .twovcc import ComponentList, two_vccs_domtree
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,16 @@ def is_k_vertex_connected(g: DiGraph, k: int) -> bool:
 def k_vccs(g: DiGraph, k: int) -> ComponentList:
     """Vertex sets of the maximal k-vertex-connected subgraphs of g.
 
-    k = 2 delegates to the articulation-splitting algorithm.  For k > 2:
-    a k-connected graph is itself a component; a (k-1)-connected one is
-    split along a minimum cut X (of size exactly k-1) into the SCCs of
-    G minus X, each rejoined with X; anything else recurses into its
-    (k-1)-vertex-connected components first.
+    k = 2 delegates to the dominator-tree engine ``two_vccs_domtree``.
+    For k > 2: a k-connected graph is itself a component; a
+    (k-1)-connected one is split along a minimum cut X (of size exactly
+    k-1) into the SCCs of G minus X, each rejoined with X; anything else
+    recurses into its (k-1)-vertex-connected components first.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
     if k == 2:
-        return two_vccs_split(g)
+        return two_vccs_domtree(g)
     out: list[tuple[int, ...]] = []
     work = [strip_labels(g)]
     while work:

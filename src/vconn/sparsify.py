@@ -15,7 +15,9 @@ strong-connectivity part of problem 2 is handled on the coarsened graph by
 a union of two arborescences pruned to deletion-minimality, which is at
 most twice the optimum (weaker than the best published ratio, but simple
 and certifiable).  Every result carries a recomputed certificate so that
-validity never rests on the construction being right.
+validity never rests on the construction being right: the components are
+built with ``two_vccs_domtree`` once per graph and the certificates are
+recomputed once each with ``two_vccs_split``, a different engine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .articulation import is_2vertex_connected
 from .connectivity import _scc_ids
 from .errors import NotStronglyConnected, NotTwoVertexConnected
 from .graph import DiGraph, Edge, induced_subgraph, strip_labels
-from .twovcc import two_vccs_split
+from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,11 @@ class SparsifyResult:
 def coarsen(g: DiGraph) -> CoarsenedGraph:
     """Contract each union of overlapping components to a super-vertex."""
     g = strip_labels(g)
-    comps = two_vccs_split(g)
+    return _quotient(g, two_vccs_domtree(g))
+
+
+def _quotient(g: DiGraph, comps: ComponentList) -> CoarsenedGraph:
+    """``coarsen`` for a label-free g whose components are already known."""
     parent = list(range(g.n))
 
     def find(a: int) -> int:
@@ -213,10 +219,11 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     return tuple(sorted(kept))
 
 
-def sparsify_problem1(g: DiGraph) -> SparsifyResult:
-    """Fewest edges (approximately) whose graph has the same components."""
-    g = strip_labels(g)
-    comps = two_vccs_split(g)
+def _retain_components(
+    g: DiGraph, comps: ComponentList
+) -> tuple[tuple[tuple[Edge, ...], ...], set[Edge]]:
+    """Problem 1's edges: an approximate 2-VCSS of every component of g,
+    per component and united."""
     per_component: list[tuple[Edge, ...]] = []
     retained: set[Edge] = set()
     for comp in comps:
@@ -225,14 +232,21 @@ def sparsify_problem1(g: DiGraph) -> SparsifyResult:
         kept = tuple(sorted((labels[u], labels[v]) for u, v in approx_2vcss(sub)))
         per_component.append(kept)
         retained.update(kept)
+    return tuple(per_component), retained
+
+
+def sparsify_problem1(g: DiGraph) -> SparsifyResult:
+    """Fewest edges (approximately) whose graph has the same components."""
+    g = strip_labels(g)
+    comps = two_vccs_domtree(g)
+    per_component, retained = _retain_components(g, comps)
     edges = tuple(sorted(retained))
-    recomputed = two_vccs_split(DiGraph(g.n, edges))
     return SparsifyResult(
         problem=1,
         edges=edges,
         components=tuple(comps),
-        per_component_edges=tuple(per_component),
-        recomputed_components=tuple(recomputed),
+        per_component_edges=per_component,
+        recomputed_components=tuple(two_vccs_split(DiGraph(g.n, edges))),
     )
 
 
@@ -241,19 +255,18 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
     g = strip_labels(g)
     if not _edge_set_strongly_connected(g.n, g.edges):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    base = sparsify_problem1(g)
-    coarse = coarsen(g)
-    retained = set(base.edges)
+    comps = two_vccs_domtree(g)
+    per_component, retained = _retain_components(g, comps)
+    coarse = _quotient(g, comps)
     for ce in approx_mscss(coarse.graph):
         retained.add(coarse.edge_origins[ce])
     edges = tuple(sorted(retained))
-    recomputed = two_vccs_split(DiGraph(g.n, edges))
     return SparsifyResult(
         problem=2,
         edges=edges,
-        components=base.components,
-        per_component_edges=base.per_component_edges,
-        recomputed_components=tuple(recomputed),
+        components=tuple(comps),
+        per_component_edges=per_component,
+        recomputed_components=tuple(two_vccs_split(DiGraph(g.n, edges))),
         strongly_connected=_edge_set_strongly_connected(g.n, edges),
     )
 
@@ -261,22 +274,22 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
 def sparsify_problem3(g: DiGraph) -> SparsifyResult:
     """Problem 1 on the graph and on its coarsened graph simultaneously."""
     g = strip_labels(g)
-    base = sparsify_problem1(g)
-    coarse = coarsen(g)
-    coarse_base = sparsify_problem1(coarse.graph)
-    retained = set(base.edges)
-    for ce in coarse_base.edges:
+    comps = two_vccs_domtree(g)
+    per_component, retained = _retain_components(g, comps)
+    coarse = _quotient(g, comps)
+    coarse_comps = two_vccs_domtree(coarse.graph)
+    for ce in _retain_components(coarse.graph, coarse_comps)[1]:
         retained.add(coarse.edge_origins[ce])
     edges = tuple(sorted(retained))
     sparse = DiGraph(g.n, edges)
     recomputed = two_vccs_split(sparse)
-    recoarse = coarsen(sparse)
+    recoarse = _quotient(sparse, recomputed)
     return SparsifyResult(
         problem=3,
         edges=edges,
-        components=base.components,
-        per_component_edges=base.per_component_edges,
+        components=tuple(comps),
+        per_component_edges=per_component,
         recomputed_components=tuple(recomputed),
-        coarse_components=tuple(two_vccs_split(coarse.graph)),
+        coarse_components=tuple(coarse_comps),
         recomputed_coarse_components=tuple(two_vccs_split(recoarse.graph)),
     )

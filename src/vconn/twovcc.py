@@ -5,6 +5,12 @@ A component is the vertex set of a maximal 2-vertex-connected subgraph
 return the same canonical list: each component a sorted tuple of the input
 graph's vertex ids, the list sorted lexicographically and deduplicated.
 
+``domtree`` is the production engine: ``two_vccs`` by default, the CLI,
+``k_vccs`` and the sparsifiers all use it.  The other three are reference
+variants, kept to cross-check it (``split`` also recomputes the
+sparsifier certificates, so that no certificate comes from the engine
+that built the result).
+
 Variants:
 
 * ``es``        - edge-pruning fixpoint: repeatedly delete edges running
@@ -23,7 +29,7 @@ Variants:
 
 from __future__ import annotations
 
-from .articulation import strong_articulation_points
+from .articulation import _points_and_trees, is_2vertex_connected
 from .connectivity import _group_components, _scc_ids, undirected_biconnected_components
 from .dominators import dominator_tree, nontrivial_dominators, root_children
 from .errors import UnknownVariant, VertexOutOfRange
@@ -43,14 +49,12 @@ VARIANTS = ("es", "split", "domtree", "per-vertex")
 
 def _canonical(comps, n: int) -> ComponentList:
     out = sorted({tuple(sorted(c)) for c in comps})
+    # The sizes of a graph's components sum to less than 3n; a larger sum
+    # means an engine bug, so this check must survive ``python -O``.
     total = sum(len(c) for c in out)
-    assert not out or total < 3 * n, f"component size sum {total} >= 3n = {3 * n}"
+    if out and total >= 3 * n:
+        raise RuntimeError(f"component size sum {total} >= 3n = {3 * n}")
     return out
-
-
-def _is_2vc_subcall(h: DiGraph) -> bool:
-    # h is known strongly connected with n >= 3 here.
-    return not strong_articulation_points(h)
 
 
 def es_fixpoint(g: DiGraph) -> DiGraph:
@@ -92,14 +96,10 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
     comps = [b for b in blocks if len(b) >= 3]
     for c in comps:
         sub = induced_subgraph(pruned, c)
-        assert _scc_count(sub) == 1 and _is_2vc_subcall(sub), (
+        assert is_2vertex_connected(sub), (
             f"block {c} is not 2-vertex-connected in the directed sense"
         )
     return _canonical(comps, g.n)
-
-
-def _scc_count(h: DiGraph) -> int:
-    return _scc_ids(h.n, h.out_adj)[1]
 
 
 def two_vccs_split(g: DiGraph) -> ComponentList:
@@ -116,7 +116,7 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
                 if len(c) >= 3:
                     work.append(induced_subgraph(h, c))
             continue
-        points = strong_articulation_points(h)
+        points = _points_and_trees(h)[0]
         if not points:
             out.append(h.origin_labels)
             continue
@@ -133,11 +133,13 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
 
 
 def two_vccs_domtree(g: DiGraph) -> ComponentList:
-    """Components via dominator-tree sibling sets.
+    """Components via dominator-tree sibling sets (the production engine).
 
     Every component appears inside some children set M(w) of the chosen
     dominator tree (together with w itself), so it suffices to recurse on
-    the subgraphs induced by M(w) + {w} with |M(w)| >= 2.
+    the subgraphs induced by M(w) + {w} with |M(w)| >= 2.  Each round reuses
+    the two trees at vertex 0 that the articulation test built, unless
+    vertex 0 is itself an articulation point.
     """
     out: list[tuple[int, ...]] = []
     work: list[DiGraph] = []
@@ -151,20 +153,21 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
                 work.append(induced_subgraph(g0, c))
     while work:
         h = work.pop()  # strongly connected, n >= 3
-        points = strong_articulation_points(h)
+        points, t_fwd, t_rev = _points_and_trees(h)
         if not points:
             out.append(h.origin_labels)
             continue
-        non_points = [v for v in range(h.n) if v not in points]
-        if not non_points:
-            # Every vertex is an articulation point (directed cycles, for
-            # example); fall back to the splitting variant for this piece.
-            labels = h.origin_labels
-            out.extend(tuple(labels[i] for i in c) for c in two_vccs_split(h))
-            continue
-        v = non_points[0]
-        t_fwd = dominator_tree(h, v)
-        t_rev = dominator_tree(reverse(h), v)
+        if 0 in points:
+            non_points = [v for v in range(h.n) if v not in points]
+            if not non_points:
+                # Every vertex is an articulation point (directed cycles,
+                # for example); fall back to the splitting variant.
+                labels = h.origin_labels
+                out.extend(tuple(labels[i] for i in c) for c in two_vccs_split(h))
+                continue
+            v = non_points[0]
+            t_fwd = dominator_tree(h, v)
+            t_rev = dominator_tree(reverse(h), v)
         chosen = t_fwd
         if len(nontrivial_dominators(t_rev)) > len(nontrivial_dominators(t_fwd)):
             chosen = t_rev
@@ -208,14 +211,12 @@ def two_vccs_containing(g: DiGraph, v: int) -> ComponentList:
                 continue
             h = induced_subgraph(h, cx)
             x = cx.index(x)
-        points = strong_articulation_points(h)
+        points, t_fwd, t_rev = _points_and_trees(h, x)
         if not points:
             out.append(h.origin_labels)
             continue
         if x not in points:
-            k_fwd = root_children(dominator_tree(h, x))
-            k_rev = root_children(dominator_tree(reverse(h), x))
-            candidates = k_fwd & k_rev
+            candidates = root_children(t_fwd) & root_children(t_rev)
             if len(candidates) >= 2:
                 keep = sorted(candidates | {x})
                 work.append((induced_subgraph(h, keep), keep.index(x)))
@@ -227,13 +228,17 @@ def two_vccs_containing(g: DiGraph, v: int) -> ComponentList:
                 continue
             keep = sorted(c + [x])
             sub = induced_subgraph(h, keep)
-            if _scc_count(sub) == 1:
+            if _scc_ids(sub.n, sub.out_adj)[1] == 1:
                 work.append((sub, keep.index(x)))
     return _canonical(out, g.n)
 
 
-def two_vccs(g: DiGraph, algo: str = "split") -> ComponentList:
-    """Dispatch to one of the four variants; identical output contract."""
+def two_vccs(g: DiGraph, algo: str = "domtree") -> ComponentList:
+    """Dispatch to one of the four variants; identical output contract.
+
+    The default ``domtree`` is the production engine; ``es``, ``split``
+    and ``per-vertex`` are reference variants for cross-checking.
+    """
     if algo == "es":
         return two_vccs_es(g)
     if algo == "split":

@@ -7,7 +7,6 @@ corpora are seeded and shared across tests at module scope.
 import random
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -43,8 +42,6 @@ from vconn.testkit import (
 from vconn.twovcc import VARIANTS
 
 from conftest import FIG1_COMPONENTS, FIG1_EDGES, mixed_corpus
-
-ARTIFACT_DIR = Path(__file__).resolve().parent.parent
 
 
 def _report(criterion: int, text: str) -> None:
@@ -305,10 +302,10 @@ def test_criterion_09_sparsification_ratio(corpus_2vc, corpus_strong):
     )
 
 
-def test_criterion_10_empirical_scaling_informational():
+def test_criterion_10_empirical_scaling_informational(tmp_path):
     sizes = [100, 200, 400, 800]
     records = bench(sizes, ["es", "split"], repetitions=3, seed=101)
-    csv_path = ARTIFACT_DIR / "bench_report.csv"
+    csv_path = tmp_path / "bench_report.csv"
     with open(csv_path, "w", encoding="ascii") as handle:
         handle.write("algo,n,m,nanos,components,seed\n")
         for record in records:
@@ -324,7 +321,7 @@ def test_criterion_10_empirical_scaling_informational():
         10,
         "es/split median ratios "
         + ", ".join(f"n={n}: {r:.1f}" for n, r in zip(sizes, ratios))
-        + f" -> {verdict}; CSV archived at {csv_path.name}",
+        + f" -> {verdict}; CSV archived at {csv_path}",
     )
 
 

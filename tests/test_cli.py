@@ -169,6 +169,13 @@ def test_bench_mismatch_aborts(monkeypatch):
         bench([12], ["es", "split"], 1, seed=2)
 
 
+def test_non_ascii_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "cafe.txt"
+    path.write_bytes("# café\n3 3\n0 1\n1 2\n2 0\n".encode("utf-8"))
+    assert run(["scc", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: EdgeListFormatError: ")
+
+
 def test_missing_file_exit_1(capsys):
     assert run(["scc", "/nonexistent/graph.txt"]) == 1
     capsys.readouterr()

@@ -159,3 +159,28 @@ def test_fig1_brute_optimum_matches(fig1, tri):
     assert len(brute_opt_sparsifier(fig1, 1)) == 14
     assert len(brute_opt_sparsifier(fig1, 2)) == 17
     assert set(brute_opt_sparsifier(tri, 1)) == set(tri.edges)
+
+
+def test_components_built_once_and_certified_by_split(monkeypatch):
+    import vconn.sparsify as sp
+
+    def spy(name, func):
+        def wrapper(h):
+            calls[name].append(h)
+            return func(h)
+        return wrapper
+
+    g = two_triangles_with_bridge()
+    for solver, coarse_graphs in ((sparsify_problem2, 0), (sparsify_problem3, 1)):
+        calls = {"domtree": [], "split": []}
+        monkeypatch.setattr(sp, "two_vccs_domtree", spy("domtree", sp.two_vccs_domtree))
+        monkeypatch.setattr(sp, "two_vccs_split", spy("split", sp.two_vccs_split))
+        result = solver(g)
+        monkeypatch.undo()
+        assert result.certificate_ok
+        # domtree builds the result: once on g, and for problem 3 once on
+        # the coarse graph; split recomputes each certificate once.
+        assert calls["domtree"][0] == g
+        assert len(calls["domtree"]) == 1 + coarse_graphs
+        assert calls["split"][0] == from_edge_list(g.n, result.edges)
+        assert len(calls["split"]) == 1 + coarse_graphs

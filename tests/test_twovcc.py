@@ -4,6 +4,7 @@ from vconn import (
     from_edge_list,
     induced_subgraph,
     is_2vertex_connected,
+    reverse,
     strongly_connected_components,
     two_vccs,
     two_vccs_containing,
@@ -13,8 +14,8 @@ from vconn import (
 )
 from vconn.connectivity import _scc_ids
 from vconn.errors import UnknownVariant, VertexOutOfRange
-from vconn.testkit import brute_two_vccs, check_domtree_structure
-from vconn.twovcc import VARIANTS, es_fixpoint
+from vconn.testkit import GenSpec, brute_two_vccs, check_domtree_structure, gen_random
+from vconn.twovcc import VARIANTS, _canonical, es_fixpoint
 
 from conftest import FIG1_COMPONENTS, mixed_corpus
 
@@ -48,6 +49,7 @@ def test_containing_examples(fig1, bowtie):
 
 
 def test_facade(fig1):
+    assert two_vccs(fig1) == two_vccs_domtree(fig1)
     assert two_vccs(fig1, "split") == two_vccs_split(fig1)
     assert two_vccs(fig1, "per-vertex") == FIG1_COMPONENTS
     empty = from_edge_list(0, [])
@@ -114,3 +116,29 @@ def test_domtree_structure_theorem(fig1, tri):
 def test_per_vertex_union_matches_split():
     for g in mixed_corpus(80, base_seed=52_000):
         assert two_vccs(g, "per-vertex") == two_vccs_split(g)
+
+
+def test_canonical_rejects_oversize_lists():
+    # Duplicates collapse before the size sum is taken; all four triangles
+    # of 4 vertices sum to 12 = 3n, which no component list can reach.
+    assert _canonical([(2, 1, 0), (0, 1, 2)], 3) == [(0, 1, 2)]
+    with pytest.raises(RuntimeError, match="3n"):
+        _canonical([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 4)
+
+
+def _large_graphs():
+    # Uniform graphs with one giant component, and chains of 100 4-cliques
+    # whose 15-45 noise edges leave between 14 and 100 components.
+    for seed in range(3):
+        yield gen_random(GenSpec(n=300, m=1200, model="uniform", seed=60_000 + seed,
+                                 strongly_connected=True))
+        yield gen_random(GenSpec(n=301, m=1215 + 15 * seed, model="planted",
+                                 seed=61_000 + seed, sizes=(4,) * 100))
+
+
+def test_domtree_matches_split_above_oracle_size():
+    for g in _large_graphs():
+        comps = two_vccs_domtree(g)
+        assert comps, g
+        assert comps == two_vccs_split(g), g.edges
+        assert two_vccs(reverse(g)) == comps, g.edges
