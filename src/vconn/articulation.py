@@ -54,4 +54,4 @@ def is_2vertex_connected(g: DiGraph) -> bool:
     2-vertex-connected."""
     if g.n < 3 or not is_strongly_connected(g):
         return False
-    return not strong_articulation_points(g)
+    return not _points_and_trees(g)[0]

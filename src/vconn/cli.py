@@ -23,6 +23,10 @@ from .sparsify import sparsify_problem1, sparsify_problem2, sparsify_problem3
 from .twovcc import VARIANTS, two_vccs
 
 
+# Planted clique size of the bench family, for the library call and the CLI.
+BENCH_CLIQUE = 4
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     algo: str
@@ -39,13 +43,15 @@ class BenchRecord:
 def _load_graph(path: str) -> DiGraph:
     try:
         if path == "-":
+            # stdin arrives decoded by the locale, so check the text itself.
             text = sys.stdin.read()
+            text.encode("ascii")
         else:
             with open(path, "r", encoding="ascii") as handle:
                 text = handle.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise EdgeListFormatError(
-            f"{path}: not ASCII text ({exc.reason} at byte {exc.start})"
+            f"{path}: not ASCII text ({exc.reason} at position {exc.start})"
         ) from exc
     return read_edge_list(text)
 
@@ -158,7 +164,7 @@ def bench(
     repetitions: int,
     seed: int = 0,
     density: float = 4.0,
-    clique: int = 4,
+    clique: int = BENCH_CLIQUE,
 ) -> list[BenchRecord]:
     """Time each algorithm on identical planted graphs.
 
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=4.0, help="edges per vertex")
-    p.add_argument("--clique", type=int, default=6, help="planted clique size")
+    p.add_argument("--clique", type=int, default=BENCH_CLIQUE, help="planted clique size")
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -1,16 +1,20 @@
 """Minimum vertex cuts, 3-vertex-connected components, and the generic
 k-vertex-connected-component recursion.
 
-Vertex connectivity is computed by max-flow on the vertex-split network
-(each vertex becomes an in-node -> out-node arc of unit capacity).  A
-single sweep source does not suffice for directed graphs, so sources
-0..kappa are swept; any minimum cut misses at least one of them, which
-makes the sweep complete.  Complete bidirected graphs have no cut and get
-connectivity n-1 by convention.
+Vertex cuts come from max-flow on the vertex-split network (each vertex
+becomes an in-node -> out-node arc of unit capacity), built once per graph
+and reset for each vertex pair.  A single sweep source does not suffice
+for directed graphs: a set of fewer than c vertices misses one of the
+sources 0..c-1, so sweeping those finds it.  The minimum cut sweeps
+sources 0..kappa; the k-VCC split and the k-connectivity test sweep
+sources 0..k-1 and stop at the first cut of fewer than k vertices.
+Complete bidirected graphs have no cut and get connectivity n-1 by
+convention.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._flow import FlowNetwork
@@ -35,59 +39,89 @@ def _is_complete_bidirected(g: DiGraph) -> bool:
     return g.m == g.n * (g.n - 1)
 
 
-def _min_st_vertex_cut(g: DiGraph, s: int, t: int) -> tuple[int, tuple[int, ...]]:
-    """Fewest vertices (excluding s, t) meeting every s->t path.
+def _split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
+    """The vertex-split network of g and its base capacities.
 
-    Requires (s, t) not an edge.  Vertex v splits into nodes 2v (in) and
-    2v+1 (out) joined by a unit arc; graph edges get effectively infinite
-    capacity.
+    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by arc 2v of
+    unit capacity; graph edges get effectively infinite capacity.
     """
     n = g.n
-    big = n + 1
     net = FlowNetwork(2 * n)
     for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, big if v in (s, t) else 1)
+        net.add_edge(2 * v, 2 * v + 1, 1)
     for u in range(n):
         for w in g.out_adj[u]:
-            net.add_edge(2 * u + 1, 2 * w, big)
-    value = net.max_flow(2 * s + 1, 2 * t)
+            net.add_edge(2 * u + 1, 2 * w, n + 1)
+    return net, list(net.cap)
+
+
+def _pairs(g: DiGraph) -> Iterator[tuple[int, int, int]]:
+    """Ordered non-adjacent pairs (a, b) with their sweep source s =
+    min(a, b), for s = 0, 1, ... in turn; each pair once."""
+    out_sets = [set(row) for row in g.out_adj]
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            if t not in out_sets[s]:
+                yield s, s, t
+            if s not in out_sets[t]:
+                yield s, t, s
+
+
+def _min_st_vertex_cut(
+    net: FlowNetwork, base: list[int], s: int, t: int, limit: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Fewest vertices (excluding s, t) meeting every s->t path in the
+    split network ``net``, counted up to ``limit``.
+
+    Returns the count and, when it is below ``limit``, those vertices.
+    Requires (s, t) not an edge.  The flow runs from s's out-node to t's
+    in-node, so no augmenting path uses the arc of s or of t, and neither
+    is ever in the cut.
+    """
+    net.cap[:] = base
+    value = net.max_flow(2 * s + 1, 2 * t, limit)
+    if value >= limit:
+        return value, None
     side = net.reachable_in_residual(2 * s + 1)
-    cut = tuple(v for v in range(n) if side[2 * v] and not side[2 * v + 1])
-    return value, cut
+    return value, tuple(v for v in range(net.size // 2) if side[2 * v] and not side[2 * v + 1])
 
 
 def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
     """Global minimum vertex cut of a strongly connected, non-complete graph.
 
-    Sweeps flow computations from sources 0, 1, ... until more sources
-    than the best cut size have been tried; every cut misses one of those
-    sources, so the minimum found is the true minimum.  Among minimum cuts
-    encountered, the lexicographically smallest is returned.
+    Sweeps sources 0, 1, ... until more sources than the best cut size
+    have been tried; every cut misses one of those sources, so the minimum
+    found is the true minimum.  Among minimum cuts encountered, the
+    lexicographically smallest is returned.
     """
-    n = g.n
-    best: int | None = None
-    found: list[tuple[int, ...]] = []
-    out_sets = [set(row) for row in g.out_adj]
-    s = 0
-    while s < n and (best is None or s <= best):
-        for t in range(n):
-            if t == s:
-                continue
-            if t not in out_sets[s]:
-                value, cut = _min_st_vertex_cut(g, s, t)
-                if best is None or value < best:
-                    best, found = value, [cut]
-                elif value == best:
-                    found.append(cut)
-            if s not in out_sets[t]:
-                value, cut = _min_st_vertex_cut(g, t, s)
-                if best is None or value < best:
-                    best, found = value, [cut]
-                elif value == best:
-                    found.append(cut)
-        s += 1
-    assert best is not None  # unreachable: non-complete graphs have a cut
+    net, base = _split_network(g)
+    best, found = g.n, []
+    for s, a, b in _pairs(g):
+        if s > best:
+            break
+        value, cut = _min_st_vertex_cut(net, base, a, b, best + 1)
+        if value < best:
+            best, found = value, [cut]
+        elif value == best:
+            found.append(cut)
     return best, min(found)
+
+
+def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
+    """Some set of fewer than k vertices whose removal leaves g not
+    strongly connected, or None if there is none.
+
+    Every such set misses one of the sources 0..k-1, so only pairs with
+    one of those sources are tried, each flow stopped at value k.
+    """
+    net, base = _split_network(g)
+    for s, a, b in _pairs(g):
+        if s >= k:
+            break
+        _, cut = _min_st_vertex_cut(net, base, a, b, k)
+        if cut is not None:
+            return cut
+    return None
 
 
 def vertex_connectivity(g: DiGraph) -> int:
@@ -117,19 +151,20 @@ def is_k_vertex_connected(g: DiGraph, k: int) -> bool:
     removal of any fewer than k vertices."""
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    if g.n < k + 1 or not is_strongly_connected(g):
-        return False
-    return vertex_connectivity(g) >= k
+    return g.n >= k + 1 and _cut_below(g, k) is None
 
 
 def k_vccs(g: DiGraph, k: int) -> ComponentList:
     """Vertex sets of the maximal k-vertex-connected subgraphs of g.
 
     k = 2 delegates to the dominator-tree engine ``two_vccs_domtree``.
-    For k > 2: a k-connected graph is itself a component; a
-    (k-1)-connected one is split along a minimum cut X (of size exactly
-    k-1) into the SCCs of G minus X, each rejoined with X; anything else
-    recurses into its (k-1)-vertex-connected components first.
+    For k > 2 one split rule applies to every piece, starting from g:
+    each (k-1)-vertex-connected component of the piece with more than k
+    vertices is output if no set X of fewer than k vertices separates it;
+    otherwise the strongly connected components of it minus X, each
+    rejoined with X, become new pieces.  Any such X works, since a
+    k-connected subgraph minus fewer than k vertices stays strongly
+    connected and so lies within one new piece.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
@@ -139,45 +174,21 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     work = [strip_labels(g)]
     while work:
         h = work.pop()
-        if h.n < k + 1:
-            continue
-        if not is_strongly_connected(h):
-            comp, _ = _scc_ids(h.n, h.out_adj)
-            for c in _group_components(h.n, comp):
-                if len(c) >= k + 1:
-                    work.append(induced_subgraph(h, c))
-            continue
-        if _is_complete_bidirected(h):
-            out.append(h.origin_labels)  # kappa = n-1 >= k since n >= k+1
-            continue
-        kappa, cut = _global_min_cut(h)
-        if kappa >= k:
-            out.append(h.origin_labels)
-        elif kappa == k - 1:
-            drop = set(cut)
-            keep = [v for v in range(h.n) if v not in drop]
-            rest = induced_subgraph(h, keep)
+        for c in k_vccs(h, k - 1):
+            if len(c) <= k:
+                continue
+            p = induced_subgraph(h, c)
+            cut = _cut_below(p, k)
+            if cut is None:
+                out.append(p.origin_labels)
+                continue
+            keep = [v for v in range(p.n) if v not in cut]
+            rest = induced_subgraph(p, keep)
             comp, _ = _scc_ids(rest.n, rest.out_adj)
-            for c in _group_components(rest.n, comp):
-                part = sorted({keep[i] for i in c} | drop)
-                work.append(induced_subgraph(h, part))
-        else:
-            for c in k_vccs(h, k - 1):
-                work.append(induced_subgraph(h, c))
-    comps = sorted({tuple(sorted(c)) for c in out})
-    return _drop_non_maximal(comps)
-
-
-def _drop_non_maximal(comps: ComponentList) -> ComponentList:
-    """Defensive maximality filter; a no-op on all known inputs."""
-    keep: list[tuple[int, ...]] = []
-    sets = [set(c) for c in comps]
-    for i, c in enumerate(comps):
-        ci = sets[i]
-        if any(i != j and ci < sets[j] for j in range(len(comps))):
-            continue
-        keep.append(c)
-    return keep
+            for part in _group_components(rest.n, comp):
+                if len(part) + len(cut) > k:
+                    work.append(induced_subgraph(p, [keep[i] for i in part] + list(cut)))
+    return sorted(set(out))
 
 
 def three_vccs(g: DiGraph) -> ComponentList:

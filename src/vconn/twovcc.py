@@ -95,10 +95,8 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
     blocks = undirected_biconnected_components(underlying_undirected(pruned))
     comps = [b for b in blocks if len(b) >= 3]
     for c in comps:
-        sub = induced_subgraph(pruned, c)
-        assert is_2vertex_connected(sub), (
-            f"block {c} is not 2-vertex-connected in the directed sense"
-        )
+        if not is_2vertex_connected(induced_subgraph(pruned, c)):
+            raise RuntimeError(f"block {c} is not 2-vertex-connected in the directed sense")
     return _canonical(comps, g.n)
 
 

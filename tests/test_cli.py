@@ -117,6 +117,25 @@ def test_stdin_dash(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == ["0", "1", "2"]
 
 
+def test_stdin_non_ascii_exit_1(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("# caf\xe9\n3 3\n0 1\n1 2\n2 0\n"))
+    assert run(["scc", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: EdgeListFormatError: ")
+
+
+def test_bench_clique_default_is_shared():
+    import inspect
+
+    from vconn.cli import BENCH_CLIQUE, build_parser
+
+    assert build_parser().parse_args(["bench"]).clique == BENCH_CLIQUE
+    assert inspect.signature(bench).parameters["clique"].default == BENCH_CLIQUE
+
+
 def test_bench_csv_shape(capsys):
     assert run(["bench", "--sizes", "20,30", "--algos", "es,split",
                 "--reps", "2", "--seed", "3"]) == 0

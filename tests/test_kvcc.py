@@ -1,18 +1,30 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from vconn import (
     from_edge_list,
     induced_subgraph,
+    is_2vertex_connected,
     is_k_vertex_connected,
     is_strongly_connected,
     k_vccs,
     min_vertex_cut,
+    remove_vertices,
+    reverse,
     three_vccs,
     two_vccs_split,
     vertex_connectivity,
 )
 from vconn.errors import InvalidK, NoCutExists, NotStronglyConnected
-from vconn.testkit import brute_k_vccs, brute_min_vertex_cut
+from vconn.testkit import (
+    GenSpec,
+    _maximal_only,
+    brute_k_vccs,
+    brute_min_vertex_cut,
+    gen_random,
+)
 
 from conftest import bidirected, mixed_corpus
 
@@ -115,20 +127,54 @@ def test_components_are_k_connected_and_maximal():
                     )
 
 
-def test_maximality_filter_is_a_noop(monkeypatch):
-    import vconn.kvcc as kvcc_mod
-
-    original = kvcc_mod._drop_non_maximal
-    calls = []
-
-    def spying(comps):
-        result = original(comps)
-        calls.append((comps, result))
-        return result
-
-    monkeypatch.setattr(kvcc_mod, "_drop_non_maximal", spying)
+def test_no_output_contains_another():
     for g in mixed_corpus(40, base_seed=116_000, max_n=9):
-        k_vccs(g, 3)
-    assert calls
-    for before, after in calls:
-        assert before == after
+        comps = k_vccs(g, 3)
+        assert _maximal_only(comps) == comps
+
+
+def _k_connected_by_dominators(h, k):
+    # h minus any k-2 vertices stays 2-vertex-connected, tested with the
+    # dominator-based articulation points rather than the flow code.
+    return all(
+        is_2vertex_connected(remove_vertices(h, x))
+        for x in combinations(range(h.n), k - 2)
+    )
+
+
+def _relabelled(g, perm):
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# The benchmark's shapes (uniform m=4n, which has no 3-VCC, and 6-cliques
+# on a spanning cycle, whose 3- and 4-VCC is the whole graph), plus a
+# denser uniform graph and a bare 6-clique chain, whose k-VCCs are proper,
+# overlapping subsets.
+ABOVE_ORACLE_SPECS = [
+    spec
+    for i in range(2)
+    for spec in (
+        GenSpec(n=30, m=120, seed=127_000 + i, strongly_connected=True),
+        GenSpec(n=51, m=51, model="planted", seed=127_100 + i, sizes=(6,) * 10,
+                strongly_connected=True),
+        GenSpec(n=40, m=300, seed=127_200 + i, strongly_connected=True),
+        GenSpec(n=51, m=330, model="planted", seed=127_300 + i, sizes=(6,) * 10),
+    )
+]
+
+
+@pytest.mark.parametrize("spec", ABOVE_ORACLE_SPECS, ids=lambda s: f"{s.model}-{s.seed}")
+def test_k_vccs_metamorphic_above_oracle_size(spec):
+    g = gen_random(spec)
+    rng = random.Random(spec.seed)
+    for k in (3, 4):
+        comps = k_vccs(g, k)
+        assert k_vccs(reverse(g), k) == comps
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        expected = sorted(tuple(sorted(perm[v] for v in c)) for c in comps)
+        assert k_vccs(_relabelled(g, perm), k) == expected
+        for a, b in combinations(comps, 2):
+            assert len(set(a) & set(b)) <= k - 1
+        for c in comps:
+            assert _k_connected_by_dominators(induced_subgraph(g, c), k)
