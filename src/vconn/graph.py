@@ -196,14 +196,21 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
         raise EdgeListFormatError(f"non-integer header: {' '.join(header)!r}") from exc
     if len(rows) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
-    pairs = []
+    pairs: set[Edge] = set()
     for row in rows[1:]:
         if len(row) != 2:
             raise EdgeListFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
         try:
-            pairs.append((int(row[0]), int(row[1])))
+            pair = (int(row[0]), int(row[1]))
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line: {' '.join(row)!r}") from exc
+        # The header's m must be the graph's edge count, so no line may be
+        # merged away by the DiGraph canonicalisation.
+        if pair[0] == pair[1]:
+            raise EdgeListFormatError(f"self-loop edge line: {' '.join(row)!r}")
+        if pair in pairs:
+            raise EdgeListFormatError(f"repeated edge line: {' '.join(row)!r}")
+        pairs.add(pair)
     return from_edge_list(n, pairs)
 
 

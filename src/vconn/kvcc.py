@@ -140,6 +140,8 @@ def min_vertex_cut(g: DiGraph) -> VertexCut:
     among the minimum cuts produced by the fixed sweep order)."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
+    if g.n == 1:
+        raise NoCutExists("a single vertex has no vertex cut")
     if _is_complete_bidirected(g):
         raise NoCutExists("complete bidirected graphs have no vertex cut")
     _, cut = _global_min_cut(g)

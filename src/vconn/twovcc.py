@@ -7,9 +7,9 @@ graph's vertex ids, the list sorted lexicographically and deduplicated.
 
 ``domtree`` is the production engine: ``two_vccs`` by default, the CLI,
 ``k_vccs`` and the sparsifiers all use it.  The other three are reference
-variants, kept to cross-check it (``split`` also recomputes the
-sparsifier certificates, so that no certificate comes from the engine
-that built the result).
+variants, kept to cross-check it; ``domtree`` never calls them.  ``split``
+also recomputes the sparsifier certificates, so that no certificate comes
+from the engine that built the result.
 
 Variants:
 
@@ -22,24 +22,21 @@ Variants:
                   dominator trees at v, or splitting at v.  O(n^2 * m).
 * ``split``     - recursively split at a strong articulation point w into
                   the SCCs of G minus w (each rejoined with w).  O(n * m).
-* ``domtree``   - recurse on the children sets of one dominator tree,
-                  exploiting that every component is a set of siblings
-                  (plus possibly the common parent).  O(n * m).
+* ``domtree``   - one rule per round, from the articulation test at
+                  vertex 0: output a piece with no points; split it like
+                  ``split`` when vertex 0 is a point; otherwise recurse on
+                  the children sets of one of the two dominator trees at
+                  vertex 0, exploiting that every component is a set of
+                  siblings (plus possibly the common parent).  O(n * m).
 """
 
 from __future__ import annotations
 
 from .articulation import _points_and_trees, is_2vertex_connected
 from .connectivity import _group_components, _scc_ids, undirected_biconnected_components
-from .dominators import dominator_tree, nontrivial_dominators, root_children
+from .dominators import nontrivial_dominators, root_children
 from .errors import UnknownVariant, VertexOutOfRange
-from .graph import (
-    DiGraph,
-    induced_subgraph,
-    reverse,
-    strip_labels,
-    underlying_undirected,
-)
+from .graph import DiGraph, induced_subgraph, strip_labels, underlying_undirected
 
 Component = tuple[int, ...]
 ComponentList = list[Component]
@@ -100,20 +97,33 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
     return _canonical(comps, g.n)
 
 
+def _strong_pieces(h: DiGraph, w: int = -1) -> list[DiGraph]:
+    """Strongly connected induced subgraphs of h, each of >= 3 vertices,
+    that together hold every component of h.
+
+    Without ``w`` these are the SCCs of h.  With a vertex ``w`` they come
+    from the SCCs of h minus w, each rejoined with w and split again, since
+    every component minus w lies within one SCC of h minus w.
+    """
+    comp, ncomp = _scc_ids(h.n, h.out_adj, skip=w)
+    if w >= 0:
+        return [
+            piece
+            for c in _group_components(h.n, comp)
+            if len(c) >= 2
+            for piece in _strong_pieces(induced_subgraph(h, (*c, w)))
+        ]
+    if ncomp == 1:
+        return [h] if h.n >= 3 else []
+    return [induced_subgraph(h, c) for c in _group_components(h.n, comp) if len(c) >= 3]
+
+
 def two_vccs_split(g: DiGraph) -> ComponentList:
     """Components by recursive splitting at strong articulation points."""
-    work = [strip_labels(g)]
+    work = _strong_pieces(strip_labels(g))
     out: list[tuple[int, ...]] = []
     while work:
-        h = work.pop()
-        if h.n < 3:
-            continue
-        comp, ncomp = _scc_ids(h.n, h.out_adj)
-        if ncomp != 1:
-            for c in _group_components(h.n, comp):
-                if len(c) >= 3:
-                    work.append(induced_subgraph(h, c))
-            continue
+        h = work.pop()  # strongly connected, n >= 3
         points = _points_and_trees(h)[0]
         if not points:
             out.append(h.origin_labels)
@@ -121,34 +131,24 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
         # Any articulation point is valid; the median of the sorted set
         # keeps the recursion balanced on chain-like inputs.
         ordered = sorted(points)
-        w = ordered[len(ordered) // 2]
-        comp, _ = _scc_ids(h.n, h.out_adj, skip=w)
-        for c in _group_components(h.n, comp):
-            if len(c) >= 2:
-                c.append(w)
-                work.append(induced_subgraph(h, c))
+        work.extend(_strong_pieces(h, ordered[len(ordered) // 2]))
     return _canonical(out, g.n)
 
 
 def two_vccs_domtree(g: DiGraph) -> ComponentList:
     """Components via dominator-tree sibling sets (the production engine).
 
-    Every component appears inside some children set M(w) of the chosen
-    dominator tree (together with w itself), so it suffices to recurse on
-    the subgraphs induced by M(w) + {w} with |M(w)| >= 2.  Each round reuses
-    the two trees at vertex 0 that the articulation test built, unless
-    vertex 0 is itself an articulation point.
+    Each round reads the strong articulation points of a strongly
+    connected piece h, and the dominator trees of h and of its reversal
+    rooted at vertex 0, from one articulation test.  With no points, h is
+    a component.  If vertex 0 is a point, h splits at it as in ``split``;
+    vertex 0 is then no point of the resulting pieces, since removing it
+    leaves one SCC.  Otherwise every component appears inside some
+    children set M(w) of the chosen tree (together with w itself), so the
+    round recurses on the subgraphs induced by M(w) + {w} with |M(w)| >= 2.
     """
     out: list[tuple[int, ...]] = []
-    work: list[DiGraph] = []
-    g0 = strip_labels(g)
-    comp, ncomp = _scc_ids(g0.n, g0.out_adj)
-    if ncomp == 1 and g0.n >= 3:
-        work.append(g0)
-    else:
-        for c in _group_components(g0.n, comp):
-            if len(c) >= 3:
-                work.append(induced_subgraph(g0, c))
+    work = _strong_pieces(strip_labels(g))
     while work:
         h = work.pop()  # strongly connected, n >= 3
         points, t_fwd, t_rev = _points_and_trees(h)
@@ -156,31 +156,15 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
             out.append(h.origin_labels)
             continue
         if 0 in points:
-            non_points = [v for v in range(h.n) if v not in points]
-            if not non_points:
-                # Every vertex is an articulation point (directed cycles,
-                # for example); fall back to the splitting variant.
-                labels = h.origin_labels
-                out.extend(tuple(labels[i] for i in c) for c in two_vccs_split(h))
-                continue
-            v = non_points[0]
-            t_fwd = dominator_tree(h, v)
-            t_rev = dominator_tree(reverse(h), v)
+            work.extend(_strong_pieces(h, 0))
+            continue
         chosen = t_fwd
         if len(nontrivial_dominators(t_rev)) > len(nontrivial_dominators(t_fwd)):
             chosen = t_rev
         for w in range(h.n):
             m_set = chosen.children[w]
-            if len(m_set) < 2:
-                continue
-            sub = induced_subgraph(h, (*m_set, w))
-            comp, ncomp = _scc_ids(sub.n, sub.out_adj)
-            if ncomp == 1:
-                work.append(sub)
-            else:
-                for c in _group_components(sub.n, comp):
-                    if len(c) >= 3:
-                        work.append(induced_subgraph(sub, c))
+            if len(m_set) >= 2:
+                work.extend(_strong_pieces(induced_subgraph(h, (*m_set, w))))
     return _canonical(out, g.n)
 
 

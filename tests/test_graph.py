@@ -150,6 +150,10 @@ def test_edge_list_comments_and_errors():
         read_edge_list("2\n")
     with pytest.raises(EdgeListFormatError):
         read_edge_list("2 1\n0 x\n")
+    with pytest.raises(EdgeListFormatError, match="repeated edge line: '0 1'"):
+        read_edge_list("3 4\n0 1\n0 1\n1 2\n2 0\n")
+    with pytest.raises(EdgeListFormatError, match="self-loop edge line: '1 1'"):
+        read_edge_list("3 4\n0 1\n1 1\n1 2\n2 0\n")
 
 
 def test_edges_sorted_in_output():

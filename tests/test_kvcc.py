@@ -49,8 +49,10 @@ def test_vertex_connectivity_requires_strong(fig1):
 def test_min_vertex_cut_examples(bowtie, k4b, c4b):
     assert min_vertex_cut(bowtie).vertices == (0,)
     assert min_vertex_cut(c4b).vertices == (0, 2)
-    with pytest.raises(NoCutExists):
+    with pytest.raises(NoCutExists, match="complete bidirected"):
         min_vertex_cut(k4b)
+    with pytest.raises(NoCutExists, match="single vertex"):
+        min_vertex_cut(from_edge_list(1, []))
 
 
 def test_min_vertex_cut_is_minimum_and_disconnecting():

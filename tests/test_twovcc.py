@@ -12,6 +12,7 @@ from vconn import (
     two_vccs_es,
     two_vccs_split,
 )
+from vconn import articulation, twovcc
 from vconn.connectivity import _scc_ids
 from vconn.errors import UnknownVariant, VertexOutOfRange
 from vconn.testkit import GenSpec, brute_two_vccs, check_domtree_structure, gen_random
@@ -142,3 +143,36 @@ def test_domtree_matches_split_above_oracle_size():
         assert comps, g
         assert comps == two_vccs_split(g), g.edges
         assert two_vccs(reverse(g)) == comps, g.edges
+
+
+def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie):
+    # Directed cycles have every vertex as an articulation point, and in
+    # the bowtie vertex 0 is one in the first round: both must still take
+    # the engine's own rule, with no call into ``split`` and no dominator
+    # trees beyond the two that each articulation test builds.
+    cycles = [from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)]
+    graphs = [*cycles, bowtie]
+    expected = [brute_two_vccs(g) for g in graphs]
+    calls = {"split": 0, "tests": 0, "trees": 0}
+    real_points, real_tree = twovcc._points_and_trees, articulation.dominator_tree
+
+    def points(h):
+        calls["tests"] += 1
+        return real_points(h)
+
+    def tree(h, v):
+        calls["trees"] += 1
+        return real_tree(h, v)
+
+    def split(h):
+        calls["split"] += 1
+        return two_vccs_split(h)
+
+    monkeypatch.setattr(twovcc, "_points_and_trees", points)
+    monkeypatch.setattr(twovcc, "two_vccs_split", split)
+    # A tree builder bound in ``twovcc`` itself would be counted as well.
+    for module in (articulation, twovcc):
+        monkeypatch.setattr(module, "dominator_tree", tree, raising=False)
+    assert [two_vccs_domtree(g) for g in graphs] == expected
+    assert calls["split"] == 0
+    assert calls["trees"] == 2 * calls["tests"] > 0
