@@ -1,10 +1,12 @@
-"""Minimal max-flow network (Edmonds-Karp) used for vertex cuts and
-degree-constrained edge deletion.  Capacities are small integers, so BFS
-augmentation is plenty."""
+"""Minimal max-flow network (Edmonds-Karp) used for vertex cuts, edge
+deletion tests and degree-constrained edge deletion.  Capacities are small
+integers, so BFS augmentation is plenty."""
 
 from __future__ import annotations
 
 from collections import deque
+
+from .graph import DiGraph
 
 
 class FlowNetwork:
@@ -73,3 +75,22 @@ class FlowNetwork:
 
     def saturated(self, idx: int) -> bool:
         return self.cap[idx] == 0
+
+
+def split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
+    """The vertex-split network of g and its base capacities.
+
+    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by arc 2v of
+    unit capacity; edge i of ``g.edges`` becomes arc 2(n+i), from its
+    tail's out-node to its head's in-node, of effectively infinite
+    capacity n+1.  A flow from u's out-node to v's in-node counts
+    internally vertex-disjoint u->v paths.
+    """
+    n = g.n
+    net = FlowNetwork(2 * n)
+    for v in range(n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u in range(n):
+        for w in g.out_adj[u]:
+            net.add_edge(2 * u + 1, 2 * w, n + 1)
+    return net, list(net.cap)

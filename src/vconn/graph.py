@@ -173,7 +173,10 @@ def strip_labels(g: DiGraph) -> DiGraph:
 #
 # First non-comment line is "n m", followed by m lines "u v" (0-based
 # decimal).  Lines starting with '#' are comments.  Writers emit edges
-# sorted by (u, v).
+# sorted by (u, v).  A header n above MAX_VERTICES is rejected before
+# anything of size n is allocated.
+
+MAX_VERTICES = 10_000_000
 
 
 def read_edge_list(source: str | TextIO) -> DiGraph:
@@ -194,6 +197,10 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header: {' '.join(header)!r}") from exc
+    if n > MAX_VERTICES:
+        raise EdgeListFormatError(
+            f"header {' '.join(header)!r} asks for more than {MAX_VERTICES} vertices"
+        )
     if len(rows) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     pairs: set[Edge] = set()

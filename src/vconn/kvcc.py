@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._flow import FlowNetwork
+from ._flow import FlowNetwork, split_network
 from .connectivity import _group_components, _scc_ids, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
@@ -37,22 +37,6 @@ class VertexCut:
 
 def _is_complete_bidirected(g: DiGraph) -> bool:
     return g.m == g.n * (g.n - 1)
-
-
-def _split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
-    """The vertex-split network of g and its base capacities.
-
-    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by arc 2v of
-    unit capacity; graph edges get effectively infinite capacity.
-    """
-    n = g.n
-    net = FlowNetwork(2 * n)
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u in range(n):
-        for w in g.out_adj[u]:
-            net.add_edge(2 * u + 1, 2 * w, n + 1)
-    return net, list(net.cap)
 
 
 def _pairs(g: DiGraph) -> Iterator[tuple[int, int, int]]:
@@ -94,7 +78,7 @@ def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
     found is the true minimum.  Among minimum cuts encountered, the
     lexicographically smallest is returned.
     """
-    net, base = _split_network(g)
+    net, base = split_network(g)
     best, found = g.n, []
     for s, a, b in _pairs(g):
         if s > best:
@@ -114,7 +98,7 @@ def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
     Every such set misses one of the sources 0..k-1, so only pairs with
     one of those sources are tried, each flow stopped at value k.
     """
-    net, base = _split_network(g)
+    net, base = split_network(g)
     for s, a, b in _pairs(g):
         if s >= k:
             break
@@ -138,6 +122,8 @@ def vertex_connectivity(g: DiGraph) -> int:
 def min_vertex_cut(g: DiGraph) -> VertexCut:
     """A minimum vertex cut; deterministic (lexicographically smallest
     among the minimum cuts produced by the fixed sweep order)."""
+    if g.n == 0:
+        raise NoCutExists("a graph with no vertices has no vertex cut")
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     if g.n == 1:

@@ -10,7 +10,17 @@ Three nested problems are solved:
 Edges outside the components are irrelevant for problem 1, so it splits
 into independent per-component subproblems: a minimum subgraph with in-
 and out-degree >= 2 everywhere (computed exactly by a deletion flow),
-re-augmented to 2-vertex-connectivity by deletion-minimalisation.  The
+re-augmented to 2-vertex-connectivity by deletion-minimalisation.  Each
+deletion is tested locally.  If D is 2-vertex-connected and e = (u, v) is
+an edge of D, then D - e is 2-vertex-connected iff D - e has two
+internally vertex-disjoint u->v paths.  A set X of at most one vertex
+that disconnects D - e contains neither u nor v (else D - e - X = D - X,
+which is strongly connected), so D - X - e has no u->v path (else adding
+e back could not make it strongly connected), and X meets every u->v path
+of D - e; the converse is Menger's theorem.  So one flow capped at 2 on
+the vertex-split network decides each deletion, provided the graph
+before it is 2-vertex-connected, which every accepted deletion
+preserves.  The
 strong-connectivity part of problem 2 is handled on the coarsened graph by
 a union of two arborescences pruned to deletion-minimality, which is at
 most twice the optimum (weaker than the best published ratio, but simple
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._flow import FlowNetwork
+from ._flow import FlowNetwork, split_network
 from .articulation import is_2vertex_connected
 from .connectivity import _scc_ids
 from .errors import NotStronglyConnected, NotTwoVertexConnected
@@ -150,8 +160,15 @@ def _edge_set_strongly_connected(n: int, edges) -> bool:
     return _scc_ids(n, adj)[1] == 1
 
 
-def _edge_set_is_2vc(n: int, edges) -> bool:
-    return is_2vertex_connected(DiGraph(n, edges))
+def _edge_set_is_2vc(net: FlowNetwork, base: list[int], u: int, v: int) -> bool:
+    """Whether a 2-vertex-connected graph stays so without its edge (u, v).
+
+    ``base`` holds the capacities of the graph's split network with the
+    arc of (u, v) already zeroed; by the lemma in the module docstring the
+    answer is whether two internally vertex-disjoint u->v paths remain.
+    """
+    net.cap[:] = base
+    return net.max_flow(2 * u + 1, 2 * v, limit=2) == 2
 
 
 def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
@@ -161,14 +178,25 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     edge whose deletion keeps the graph 2-vertex-connected, scanning in
     descending (u, v) order.  Deletions only get harder as edges go, so a
     single pass reaches a deletion-minimal superset of the core.
+
+    g must be 2-vertex-connected (``min_degree2_subgraph`` checks it), and
+    each accepted deletion keeps it so; that is the precondition under
+    which one capped flow on g's split network, built once, decides each
+    deletion exactly (see the module docstring).
     """
     core = set(min_degree2_subgraph(g))
-    kept = set(g.edges)
-    for e in sorted(kept - core, reverse=True):
-        kept.discard(e)
-        if not _edge_set_is_2vc(g.n, kept):
-            kept.add(e)
-    return tuple(sorted(kept))
+    net, base = split_network(g)
+    # Edge i of g.edges is arc 2(n+i) of the split network; g.edges is
+    # sorted, so the scan below runs in descending (u, v) order.
+    candidates = [(e, 2 * (g.n + i)) for i, e in enumerate(g.edges) if e not in core]
+    deleted: set[Edge] = set()
+    for e, a in reversed(candidates):
+        capacity, base[a] = base[a], 0
+        if _edge_set_is_2vc(net, base, *e):
+            deleted.add(e)
+        else:
+            base[a] = capacity
+    return tuple(e for e in g.edges if e not in deleted)
 
 
 def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:

@@ -127,6 +127,16 @@ def test_stdin_non_ascii_exit_1(monkeypatch, capsys):
     assert captured.err.startswith("error: EdgeListFormatError: ")
 
 
+def test_cut_of_empty_graph_exit_1(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    assert run(["cut", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NoCutExists: a graph with no vertices has no vertex cut\n"
+
+
 def test_bench_clique_default_is_shared():
     import inspect
 

@@ -156,6 +156,15 @@ def test_edge_list_comments_and_errors():
         read_edge_list("3 4\n0 1\n1 1\n1 2\n2 0\n")
 
 
+def test_header_vertex_count_is_capped(monkeypatch):
+    import vconn.graph
+
+    monkeypatch.setattr(vconn.graph, "MAX_VERTICES", 5)
+    assert read_edge_list("5 0\n").n == 5
+    with pytest.raises(EdgeListFormatError, match="header '6 0' asks for more than 5 vertices"):
+        read_edge_list("6 0\n")
+
+
 def test_edges_sorted_in_output():
     g = DiGraph(3, [(2, 0), (0, 2), (1, 0)])
     lines = format_edge_list(g).splitlines()

@@ -53,6 +53,8 @@ def test_min_vertex_cut_examples(bowtie, k4b, c4b):
         min_vertex_cut(k4b)
     with pytest.raises(NoCutExists, match="single vertex"):
         min_vertex_cut(from_edge_list(1, []))
+    with pytest.raises(NoCutExists, match="no vertices"):
+        min_vertex_cut(from_edge_list(0, []))
 
 
 def test_min_vertex_cut_is_minimum_and_disconnecting():

@@ -12,11 +12,18 @@ from vconn import (
     sparsify_problem1,
     sparsify_problem2,
     sparsify_problem3,
+    two_vccs,
 )
 from vconn.errors import NotStronglyConnected, NotTwoVertexConnected
-from vconn.testkit import brute_mscss, brute_opt_sparsifier
+from vconn.testkit import GenSpec, brute_mscss, brute_opt_sparsifier, gen_random
 
 from conftest import bidirected, mixed_corpus
+
+
+def clique_cycle(seed):
+    """Ten bidirected 6-cliques chained on a random spanning cycle, n = 51."""
+    return gen_random(GenSpec(n=51, m=51, model="planted", seed=seed,
+                              sizes=(6,) * 10, strongly_connected=True))
 
 
 def two_triangles_with_bridge():
@@ -184,3 +191,65 @@ def test_components_built_once_and_certified_by_split(monkeypatch):
         assert len(calls["domtree"]) == 1 + coarse_graphs
         assert calls["split"][0] == from_edge_list(g.n, result.edges)
         assert len(calls["split"]) == 1 + coarse_graphs
+
+
+def test_flow_deletion_test_matches_full_check():
+    def full_check_loop(g):
+        # Reference: one full 2-vertex-connectivity test per deletion.
+        core = set(min_degree2_subgraph(g))
+        kept = set(g.edges)
+        for e in sorted(kept - core, reverse=True):
+            kept.discard(e)
+            if not is_2vertex_connected(from_edge_list(g.n, kept)):
+                kept.add(e)
+        return tuple(sorted(kept))
+
+    graphs = [clique_cycle(170_000 + i) for i in range(6)]
+    graphs += [gen_random(GenSpec(n=60, m=300, seed=171_000 + i, strongly_connected=True))
+               for i in range(6)]
+    deletions = 0
+    for g in graphs:
+        for comp in two_vccs(g):
+            piece = induced_subgraph(g, comp)
+            kept = approx_2vcss(piece)
+            assert kept == full_check_loop(piece)
+            deletions += piece.m - len(kept)
+    assert deletions > 1000
+
+
+def test_deletion_loop_builds_one_split_network(monkeypatch):
+    import vconn._flow as flow
+    import vconn.sparsify as sp
+
+    g = clique_cycle(172_000)
+    g = induced_subgraph(g, two_vccs(g)[0])
+    assert g.n > 40
+    calls = {"is_2vc": 0, "networks": 0}
+    is_2vc, init = sp.is_2vertex_connected, flow.FlowNetwork.__init__
+
+    def spy_is_2vc(h):
+        calls["is_2vc"] += 1
+        return is_2vc(h)
+
+    def spy_init(self, size):
+        calls["networks"] += 1
+        init(self, size)
+
+    monkeypatch.setattr(sp, "is_2vertex_connected", spy_is_2vc)
+    monkeypatch.setattr(flow.FlowNetwork, "__init__", spy_init)
+    kept = approx_2vcss(g)
+    monkeypatch.undo()
+    assert len(kept) < g.m
+    # The guard of min_degree2_subgraph; then the degree-2 core's network
+    # and the split network that every deletion test reuses.
+    assert calls["is_2vc"] == 1
+    assert calls["networks"] <= 2
+
+
+def test_certificate_catches_a_deletion_test_that_accepts_everything(monkeypatch):
+    import vconn.sparsify as sp
+
+    g = clique_cycle(173_000)
+    assert sparsify_problem1(g).certificate_ok
+    monkeypatch.setattr(sp, "_edge_set_is_2vc", lambda *args: True)
+    assert sparsify_problem1(g).certificate_ok is False
