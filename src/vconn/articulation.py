@@ -39,7 +39,7 @@ def _points_and_trees(
     The caller guarantees that g is strongly connected with n >= 3, so
     callers that go on to need those two trees need not build them again.
     """
-    _, ncomp = _scc_ids(g.n, g.out_adj, skip=pivot)
+    _, ncomp = _scc_ids(g.n, g.out_adj, skip=(pivot,))
     t_fwd = dominator_tree(g, pivot)
     t_rev = dominator_tree(reverse(g), pivot)
     points = nontrivial_dominators(t_fwd) | nontrivial_dominators(t_rev)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from . import testkit
 from .articulation import strong_articulation_points
-from .connectivity import strongly_connected_components
+from .connectivity import _strong_pieces, strongly_connected_components
 from .dominators import dominator_tree
-from .errors import EdgeListFormatError, GraphError, MismatchedOutputs
-from .graph import DiGraph, format_edge_list, induced_subgraph, read_edge_list
+from .errors import EdgeListFormatError, GraphError, InvalidSpec, MismatchedOutputs
+from .graph import DiGraph, format_edge_list, read_edge_list
 from .kvcc import k_vccs, min_vertex_cut
 from .sparsify import sparsify_problem1, sparsify_problem2, sparsify_problem3
 from .twovcc import VARIANTS, two_vccs
@@ -84,12 +84,8 @@ def _cmd_domtree(args) -> int:
 
 def _cmd_sap(args) -> int:
     g = _load_graph(args.graph)
-    points: set[int] = set()
-    for comp in strongly_connected_components(g).components:
-        if len(comp) >= 2:
-            points.update(
-                comp[i] for i in strong_articulation_points(induced_subgraph(g, comp))
-            )
+    # SCCs of fewer than 3 vertices have no strong articulation points.
+    points = {h.origin_labels[i] for h in _strong_pieces(g) for i in strong_articulation_points(h)}
     if args.json:
         print(json.dumps(sorted(points)))
     else:
@@ -142,16 +138,22 @@ def _cmd_sparsify(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _cmd_gen(args) -> int:
-    sizes = None
-    if args.sizes:
-        sizes = tuple(int(tok) for tok in args.sizes.split(","))
     spec = testkit.GenSpec(
         n=args.n,
         m=args.m,
         model=args.model,
         seed=args.seed,
-        sizes=sizes,
+        sizes=args.sizes,
         strongly_connected=args.strong,
     )
     print(format_edge_list(testkit.gen_random(spec)), end="")
@@ -174,6 +176,8 @@ def bench(
     compared before any timing row is emitted; a disagreement is an
     implementation bug and aborts the run.
     """
+    if clique < 2:
+        raise InvalidSpec(f"planted clique size must be >= 2, got {clique}")
     records: list[BenchRecord] = []
     for idx, n in enumerate(sizes):
         m = int(density * n)
@@ -209,13 +213,12 @@ def bench(
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")]
     algos = [tok.strip() for tok in args.algos.split(",")]
     bad = [a for a in algos if a not in VARIANTS]
     if bad or not algos:
         print(f"usage error: unknown algorithm(s) {bad}", file=sys.stderr)
         return 2
-    records = bench(sizes, algos, args.reps, args.seed, args.density, args.clique)
+    records = bench(list(args.sizes), algos, args.reps, args.seed, args.density, args.clique)
     print("algo,n,m,nanos,components,seed")
     for record in records:
         print(record.csv_row())
@@ -253,12 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", help="comma-separated planted clique sizes")
+    p.add_argument("--sizes", type=_int_list, help="comma-separated planted clique sizes")
     p.add_argument("--strong", action="store_true", help="weave in a random spanning cycle")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="time 2-vcc variants on planted graph families (CSV)")
-    p.add_argument("--sizes", default="100,200,400", help="comma-separated vertex counts")
+    p.add_argument(
+        "--sizes", type=_int_list, default="100,200,400", help="comma-separated vertex counts"
+    )
     p.add_argument("--algos", default="es,split", help="comma-separated variant names")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,10 @@
-"""Strongly connected components and undirected biconnected blocks.
+"""Strongly connected components, the strongly connected piece splitter,
+and undirected biconnected blocks.
+
+Every component recursion in the package (the 2-VCC engines, the
+per-vertex search, the k-VCC split and ``vconn sap``) turns an SCC
+partition into pieces through ``_strong_pieces`` alone: remove a vertex
+set X, take the SCCs of what is left, and rejoin each with X.
 
 Both primitives are implemented iteratively (explicit stacks): recursion
 depth can reach n on path-like graphs and the benchmark harness runs n in
@@ -8,9 +14,9 @@ the thousands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
-from .graph import DiGraph, UndirectedGraph
+from .graph import DiGraph, UndirectedGraph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -26,13 +32,18 @@ class SccPartition:
     components: tuple[tuple[int, ...], ...]
 
 
-def _scc_ids(n: int, out_adj: Sequence[Sequence[int]], skip: int = -1) -> tuple[list[int], int]:
+def _scc_ids(
+    n: int, out_adj: Sequence[Sequence[int]], skip: Collection[int] = ()
+) -> tuple[list[int], int]:
     """Tarjan's algorithm on raw adjacency, iterative.
 
-    Returns (component id per vertex, component count).  ``skip`` names a
-    vertex treated as deleted; its id stays -1.
+    Returns (component id per vertex, component count).  ``skip`` names
+    vertices treated as deleted; their ids stay -1.
     """
     index = [-1] * n
+    for x in skip:
+        # Marked visited but never on the stack: the search passes over it.
+        index[x] = -2
     low = [0] * n
     on_stack = bytearray(n)
     comp = [-1] * n
@@ -40,7 +51,7 @@ def _scc_ids(n: int, out_adj: Sequence[Sequence[int]], skip: int = -1) -> tuple[
     ncomp = 0
     counter = 0
     for root in range(n):
-        if root == skip or index[root] != -1:
+        if index[root] != -1:
             continue
         work: list[list[int]] = [[root, 0]]
         while work:
@@ -56,8 +67,6 @@ def _scc_ids(n: int, out_adj: Sequence[Sequence[int]], skip: int = -1) -> tuple[
             while pos < len(adj):
                 w = adj[pos]
                 pos += 1
-                if w == skip:
-                    continue
                 if index[w] == -1:
                     frame[1] = pos
                     work.append([w, 0])
@@ -91,6 +100,29 @@ def _group_components(n: int, comp: Sequence[int]) -> list[list[int]]:
         if c >= 0:
             buckets.setdefault(c, []).append(v)
     return [sorted(b) for b in buckets.values()]
+
+
+def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
+    """Strongly connected induced subgraphs of h, each of >= 3 vertices.
+
+    Without ``cut`` these are the SCCs of h.  With a vertex set ``cut``
+    they come from the SCCs of h minus cut, each rejoined with cut and
+    split again.  Each strongly connected S of >= 3 vertices in h, with S
+    minus cut non-empty and strongly connected, lies within one piece:
+    every 2-VCC of h when cut is one vertex, and every k-VCC of h when cut
+    has fewer than k vertices.
+    """
+    comp, ncomp = _scc_ids(h.n, h.out_adj, skip=cut)
+    if cut:
+        return [
+            piece
+            for c in _group_components(h.n, comp)
+            if len(c) + len(cut) >= 3
+            for piece in _strong_pieces(induced_subgraph(h, (*c, *cut)))
+        ]
+    if ncomp == 1:
+        return [h] if h.n >= 3 else []
+    return [induced_subgraph(h, c) for c in _group_components(h.n, comp) if len(c) >= 3]
 
 
 def strongly_connected_components(g: DiGraph) -> SccPartition:

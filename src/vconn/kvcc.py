@@ -10,6 +10,10 @@ sources 0..kappa; the k-VCC split and the k-connectivity test sweep
 sources 0..k-1 and stop at the first cut of fewer than k vertices.
 Complete bidirected graphs have no cut and get connectivity n-1 by
 convention.
+
+The k-VCC recursion splits a piece at such a cut X with
+``connectivity._strong_pieces``, the splitter the 2-VCC engines use at
+one vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._flow import FlowNetwork, split_network
-from .connectivity import _group_components, _scc_ids, is_strongly_connected
+from .connectivity import _strong_pieces, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
 from .twovcc import ComponentList, two_vccs_domtree
@@ -149,10 +153,12 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     For k > 2 one split rule applies to every piece, starting from g:
     each (k-1)-vertex-connected component of the piece with more than k
     vertices is output if no set X of fewer than k vertices separates it;
-    otherwise the strongly connected components of it minus X, each
-    rejoined with X, become new pieces.  Any such X works, since a
-    k-connected subgraph minus fewer than k vertices stays strongly
-    connected and so lies within one new piece.
+    otherwise its strong pieces at X (the SCCs of it minus X, each
+    rejoined with X and split again) become new pieces.  Any such X works,
+    since a k-connected subgraph minus fewer than k vertices stays
+    strongly connected and so lies within one new piece.  A piece in which
+    at most k vertices have in- and out-degree >= k is dropped before any
+    recursion, since a k-VCC has k+1 such vertices.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
@@ -162,6 +168,8 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     work = [strip_labels(g)]
     while work:
         h = work.pop()
+        if sum(len(o) >= k and len(i) >= k for o, i in zip(h.out_adj, h.in_adj)) <= k:
+            continue
         for c in k_vccs(h, k - 1):
             if len(c) <= k:
                 continue
@@ -169,13 +177,8 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
             cut = _cut_below(p, k)
             if cut is None:
                 out.append(p.origin_labels)
-                continue
-            keep = [v for v in range(p.n) if v not in cut]
-            rest = induced_subgraph(p, keep)
-            comp, _ = _scc_ids(rest.n, rest.out_adj)
-            for part in _group_components(rest.n, comp):
-                if len(part) + len(cut) > k:
-                    work.append(induced_subgraph(p, [keep[i] for i in part] + list(cut)))
+            else:
+                work.extend(_strong_pieces(p, cut))
     return sorted(set(out))
 
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import graph
 from .dominators import dominator_tree
 from .errors import (
     InvalidSpec,
@@ -26,6 +27,10 @@ from .graph import DiGraph, Edge, from_edge_list
 
 MAX_ORACLE_VERTICES = 12
 MAX_ORACLE_EDGES = 20
+
+# ``gen_random`` rejects an edge target above this, and a vertex count
+# above ``graph.MAX_VERTICES``, before allocating anything.
+MAX_GEN_EDGES = 10_000_000
 
 
 def _guard_n(g: DiGraph) -> None:
@@ -331,6 +336,10 @@ def gen_random(spec: GenSpec) -> DiGraph:
     """
     if spec.n < 1:
         raise InvalidSpec(f"n must be >= 1, got {spec.n}")
+    if spec.n > graph.MAX_VERTICES:
+        raise InvalidSpec(f"n={spec.n} is above the cap of {graph.MAX_VERTICES} vertices")
+    if spec.m > MAX_GEN_EDGES:
+        raise InvalidSpec(f"m={spec.m} is above the cap of {MAX_GEN_EDGES} edges")
     if not 0 <= spec.m <= spec.n * (spec.n - 1):
         raise InvalidSpec(f"m={spec.m} impossible for n={spec.n}")
     rng = random.Random(spec.seed)

@@ -9,7 +9,9 @@ graph's vertex ids, the list sorted lexicographically and deduplicated.
 ``k_vccs`` and the sparsifiers all use it.  The other three are reference
 variants, kept to cross-check it; ``domtree`` never calls them.  ``split``
 also recomputes the sparsifier certificates, so that no certificate comes
-from the engine that built the result.
+from the engine that built the result.  ``split``, ``domtree`` and
+``per-vertex`` take their strongly connected pieces from
+``connectivity._strong_pieces``, at one vertex when they split.
 
 Variants:
 
@@ -17,9 +19,10 @@ Variants:
                   between SCCs of the graph and of every single-vertex
                   deletion, then read the components off the biconnected
                   blocks of the undirected shadow.  O(n * m^2).
-* ``per-vertex``- union over all v of the components containing v, found
-                  by shrinking to root-children intersections of the two
-                  dominator trees at v, or splitting at v.  O(n^2 * m).
+* ``per-vertex``- union over all v of the components containing v: only
+                  the pieces holding v are kept, each shrunk to the
+                  root-children intersection of the two dominator trees
+                  at v, or split at v.  O(n^2 * m).
 * ``split``     - recursively split at a strong articulation point w into
                   the SCCs of G minus w (each rejoined with w).  O(n * m).
 * ``domtree``   - one rule per round, from the articulation test at
@@ -33,7 +36,7 @@ Variants:
 from __future__ import annotations
 
 from .articulation import _points_and_trees, is_2vertex_connected
-from .connectivity import _group_components, _scc_ids, undirected_biconnected_components
+from .connectivity import _scc_ids, _strong_pieces, undirected_biconnected_components
 from .dominators import nontrivial_dominators, root_children
 from .errors import UnknownVariant, VertexOutOfRange
 from .graph import DiGraph, induced_subgraph, strip_labels, underlying_undirected
@@ -72,7 +75,7 @@ def es_fixpoint(g: DiGraph) -> DiGraph:
                 out_adj[v] = kept
         removed = False
         for x in range(n):
-            comp, _ = _scc_ids(n, out_adj, skip=x)
+            comp, _ = _scc_ids(n, out_adj, skip=(x,))
             for v in range(n):
                 if v == x:
                     continue
@@ -97,27 +100,6 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
     return _canonical(comps, g.n)
 
 
-def _strong_pieces(h: DiGraph, w: int = -1) -> list[DiGraph]:
-    """Strongly connected induced subgraphs of h, each of >= 3 vertices,
-    that together hold every component of h.
-
-    Without ``w`` these are the SCCs of h.  With a vertex ``w`` they come
-    from the SCCs of h minus w, each rejoined with w and split again, since
-    every component minus w lies within one SCC of h minus w.
-    """
-    comp, ncomp = _scc_ids(h.n, h.out_adj, skip=w)
-    if w >= 0:
-        return [
-            piece
-            for c in _group_components(h.n, comp)
-            if len(c) >= 2
-            for piece in _strong_pieces(induced_subgraph(h, (*c, w)))
-        ]
-    if ncomp == 1:
-        return [h] if h.n >= 3 else []
-    return [induced_subgraph(h, c) for c in _group_components(h.n, comp) if len(c) >= 3]
-
-
 def two_vccs_split(g: DiGraph) -> ComponentList:
     """Components by recursive splitting at strong articulation points."""
     work = _strong_pieces(strip_labels(g))
@@ -131,7 +113,7 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
         # Any articulation point is valid; the median of the sorted set
         # keeps the recursion balanced on chain-like inputs.
         ordered = sorted(points)
-        work.extend(_strong_pieces(h, ordered[len(ordered) // 2]))
+        work.extend(_strong_pieces(h, (ordered[len(ordered) // 2],)))
     return _canonical(out, g.n)
 
 
@@ -156,7 +138,7 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
             out.append(h.origin_labels)
             continue
         if 0 in points:
-            work.extend(_strong_pieces(h, 0))
+            work.extend(_strong_pieces(h, (0,)))
             continue
         chosen = t_fwd
         if len(nontrivial_dominators(t_rev)) > len(nontrivial_dominators(t_fwd)):
@@ -171,47 +153,31 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
 def two_vccs_containing(g: DiGraph, v: int) -> ComponentList:
     """Exactly the components of g that contain vertex v.
 
-    Inside the strongly connected component of v: if the graph is already
-    2-vertex-connected it is the answer; if v is not an articulation point
-    the search shrinks to the intersection of the root-children sets of
-    the dominator trees at v (no component can contain v when that
-    intersection has fewer than two vertices); otherwise the graph splits
-    at v like the ``split`` variant.
+    Each strong piece holding v (pieces without v are dropped) is tested
+    at v: with no articulation points it is an answer; if v is not one of
+    them the search shrinks to the intersection of the root-children sets
+    of the dominator trees at v, plus v (no component can contain v when
+    that intersection has fewer than two vertices); otherwise the piece
+    splits at v like the ``split`` variant.
     """
     if not 0 <= v < g.n:
         raise VertexOutOfRange(f"vertex {v} outside [0, {g.n})")
     out: list[tuple[int, ...]] = []
-    work: list[tuple[DiGraph, int]] = [(strip_labels(g), v)]
+    work = _strong_pieces(strip_labels(g))
     while work:
-        h, x = work.pop()
-        if h.n < 3:
+        h = work.pop()  # strongly connected, n >= 3
+        if v not in h.origin_labels:
             continue
-        comp, ncomp = _scc_ids(h.n, h.out_adj)
-        if ncomp != 1:
-            cx = [u for u in range(h.n) if comp[u] == comp[x]]
-            if len(cx) < 3:
-                continue
-            h = induced_subgraph(h, cx)
-            x = cx.index(x)
+        x = h.origin_labels.index(v)
         points, t_fwd, t_rev = _points_and_trees(h, x)
         if not points:
             out.append(h.origin_labels)
-            continue
-        if x not in points:
+        elif x in points:
+            work.extend(_strong_pieces(h, (x,)))
+        else:
             candidates = root_children(t_fwd) & root_children(t_rev)
             if len(candidates) >= 2:
-                keep = sorted(candidates | {x})
-                work.append((induced_subgraph(h, keep), keep.index(x)))
-            # else: no component contains x.
-            continue
-        comp, _ = _scc_ids(h.n, h.out_adj, skip=x)
-        for c in _group_components(h.n, comp):
-            if len(c) < 2:
-                continue
-            keep = sorted(c + [x])
-            sub = induced_subgraph(h, keep)
-            if _scc_ids(sub.n, sub.out_adj)[1] == 1:
-                work.append((sub, keep.index(x)))
+                work.extend(_strong_pieces(induced_subgraph(h, candidates | {x})))
     return _canonical(out, g.n)
 
 

@@ -81,6 +81,27 @@ def test_kvcc(fig1_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_kvcc_with_k_far_above_n(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    k4 = from_edge_list(4, [(u, v) for u in range(4) for v in range(4)])
+    path.write_text(format_edge_list(k4))
+    assert run(["kvcc", "-k", "3000", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--model", "planted", "-n", "5", "-m", "0", "--sizes", "a,b"],
+        ["bench", "--sizes", "abc"],
+        ["bench", "--sizes", "20", "--clique", "1", "--reps", "1"],
+    ],
+)
+def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):
+    assert run(argv) in (1, 2)
+    assert capsys.readouterr().out == ""
+
+
 def test_sparsify_output(fig1_file, capsys):
     assert run(["sparsify", "--problem", "1", fig1_file]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,3 +1,5 @@
+import random
+
 from vconn import (
     from_edge_list,
     is_strongly_connected,
@@ -6,7 +8,9 @@ from vconn import (
     underlying_undirected,
     undirected_biconnected_components,
 )
+from vconn.connectivity import _strong_pieces
 from vconn.graph import UndirectedGraph
+from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
 
 from conftest import mixed_corpus
@@ -75,6 +79,24 @@ def test_is_strongly_connected(c3, fig1):
 def test_scc_matches_reachability_oracle():
     for g in mixed_corpus(150, base_seed=300):
         assert list(strongly_connected_components(g).components) == mutual_reachability_classes(g)
+
+
+def test_strong_pieces_at_a_cut_hold_every_k_vcc():
+    # Removing fewer than k vertices leaves a k-VCC strongly connected, so
+    # it lies within one piece of the split at that vertex set.
+    rng = random.Random(5)
+    for g in mixed_corpus(150, base_seed=91_000, max_n=9):
+        for k in (2, 3):
+            comps = brute_k_vccs(g, k)
+            # Cuts drawn from inside a component test the rejoining most.
+            pool = rng.choice(comps) if comps and rng.random() < 0.5 else range(g.n)
+            cut = tuple(rng.sample(pool, rng.randint(0, min(k - 1, len(pool)))))
+            pieces = _strong_pieces(g, cut)
+            for p in pieces:
+                assert p.n >= 3 and is_strongly_connected(p)
+            labels = [set(p.origin_labels) for p in pieces]
+            for c in comps:
+                assert any(set(c) <= s for s in labels), (c, cut)
 
 
 def test_blocks_triangle():

@@ -100,6 +100,12 @@ def test_k_vccs_examples(fig1, k4b):
         k_vccs(k4b, 1)
 
 
+def test_k_far_above_n_returns_empty_without_recursing(fig1):
+    # Fewer than k+1 vertices have in- and out-degree >= k, so no k-VCC
+    # exists; the answer comes before any (k-1)-level recursion.
+    assert k_vccs(fig1, 5000) == []
+
+
 def test_three_vccs_match_brute_force():
     for g in mixed_corpus(120, base_seed=72_000, max_n=9):
         assert three_vccs(g) == brute_k_vccs(g, 3)

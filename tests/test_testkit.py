@@ -86,6 +86,21 @@ def test_gen_single_vertex_and_errors():
         gen_random(GenSpec(n=3, m=0, model="nope"))
 
 
+def test_gen_sizes_are_capped(monkeypatch):
+    import vconn.graph
+    import vconn.testkit
+
+    monkeypatch.setattr(vconn.graph, "MAX_VERTICES", 5)
+    monkeypatch.setattr(vconn.testkit, "MAX_GEN_EDGES", 8)
+    assert gen_random(GenSpec(n=5, m=8)).m == 8
+    # The caps are checked before the generator allocates anything.
+    monkeypatch.setattr(vconn.testkit.random, "Random", None)
+    with pytest.raises(InvalidSpec, match="n=6 is above the cap of 5 vertices"):
+        gen_random(GenSpec(n=6, m=0))
+    with pytest.raises(InvalidSpec, match="m=9 is above the cap of 8 edges"):
+        gen_random(GenSpec(n=5, m=9))
+
+
 def test_gen_strongly_connected_flag():
     from vconn import is_strongly_connected
 

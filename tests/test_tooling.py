@@ -18,3 +18,18 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_connectivity_turns_scc_partitions_into_pieces():
+    # ``_strong_pieces`` is the one place an SCC partition becomes pieces;
+    # every other module goes through it instead of grouping SCC ids.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "connectivity.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Name) and node.id == "_group_components")
+        or (isinstance(node, ast.Attribute) and node.attr == "_group_components")
+        or (isinstance(node, ast.alias) and node.name == "_group_components")
+    ]
+    assert found == []

@@ -101,7 +101,7 @@ def test_es_fixpoint_is_in_class_l():
         # either (checked for every vertex, a superset of the articulation
         # points).
         for x in range(pruned.n):
-            comp, _ = _scc_ids(pruned.n, pruned.out_adj, skip=x)
+            comp, _ = _scc_ids(pruned.n, pruned.out_adj, skip=(x,))
             for u, v in pruned.edges:
                 if x not in (u, v):
                     assert comp[u] == comp[v]
