@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 
 from . import testkit
-from .articulation import strong_articulation_points
+from .articulation import _points_and_trees
 from .connectivity import _strong_pieces, strongly_connected_components
 from .dominators import dominator_tree
 from .errors import EdgeListFormatError, GraphError, InvalidSpec, MismatchedOutputs
@@ -84,8 +85,10 @@ def _cmd_domtree(args) -> int:
 
 def _cmd_sap(args) -> int:
     g = _load_graph(args.graph)
-    # SCCs of fewer than 3 vertices have no strong articulation points.
-    points = {h.origin_labels[i] for h in _strong_pieces(g) for i in strong_articulation_points(h)}
+    # SCCs of fewer than 3 vertices have no strong articulation points; the
+    # pieces are strongly connected with >= 3 vertices, as _points_and_trees
+    # requires.
+    points = {h.origin_labels[i] for h in _strong_pieces(g) for i in _points_and_trees(h)[0]}
     if args.json:
         print(json.dumps(sorted(points)))
     else:
@@ -178,6 +181,8 @@ def bench(
     """
     if clique < 2:
         raise InvalidSpec(f"planted clique size must be >= 2, got {clique}")
+    if not all(math.isfinite(density * n) for n in sizes):
+        raise InvalidSpec(f"density {density} gives no finite edge count for sizes {sizes}")
     records: list[BenchRecord] = []
     for idx, n in enumerate(sizes):
         m = int(density * n)

@@ -1,5 +1,5 @@
-"""Minimum vertex cuts, 3-vertex-connected components, and the generic
-k-vertex-connected-component recursion.
+"""Minimum vertex cuts, 3-vertex-connected components, and the k-vertex-
+connected-component split loop.
 
 Vertex cuts come from max-flow on the vertex-split network (each vertex
 becomes an in-node -> out-node arc of unit capacity), built once per graph
@@ -11,9 +11,10 @@ sources 0..k-1 and stop at the first cut of fewer than k vertices.
 Complete bidirected graphs have no cut and get connectivity n-1 by
 convention.
 
-The k-VCC recursion splits a piece at such a cut X with
+k-VCCs for k > 2 come from one split loop: the 2-VCC engine runs once,
+and every piece is then split at any cut X of fewer than k vertices with
 ``connectivity._strong_pieces``, the splitter the 2-VCC engines use at
-one vertex.
+one vertex, until no piece has such a cut.
 """
 
 from __future__ import annotations
@@ -149,36 +150,45 @@ def is_k_vertex_connected(g: DiGraph, k: int) -> bool:
 def k_vccs(g: DiGraph, k: int) -> ComponentList:
     """Vertex sets of the maximal k-vertex-connected subgraphs of g.
 
-    k = 2 delegates to the dominator-tree engine ``two_vccs_domtree``.
-    For k > 2 one split rule applies to every piece, starting from g:
-    each (k-1)-vertex-connected component of the piece with more than k
-    vertices is output if no set X of fewer than k vertices separates it;
-    otherwise its strong pieces at X (the SCCs of it minus X, each
-    rejoined with X and split again) become new pieces.  Any such X works,
-    since a k-connected subgraph minus fewer than k vertices stays
-    strongly connected and so lies within one new piece.  A piece in which
-    at most k vertices have in- and out-degree >= k is dropped before any
-    recursion, since a k-VCC has k+1 such vertices.
+    The dominator-tree engine ``two_vccs_domtree`` runs once, and k = 2
+    returns its components.  For k > 2 each component becomes a piece, and
+    one loop applies to every piece: output it if no set X of fewer than k
+    vertices separates it; otherwise its strong pieces at X (the SCCs of it
+    minus X, each rejoined with X and split again) become new pieces.
+    This is exact without first computing the (k-1)-VCCs, as the paper's
+    level-by-level recursion does:
+
+    * a k-VCC (k >= 3) is 2-vertex-connected, so it lies inside one 2-VCC;
+    * a k-VCC minus fewer than k vertices stays strongly connected, so it
+      lies inside one new piece at every split, whatever X is;
+    * pieces from different branches meet only inside a cut of fewer than
+      k vertices, while every k-VCC has more than k, so each k-VCC follows
+      one branch down to the piece it equals, and no output contains
+      another.
+
+    A piece in which at most k vertices have in- and out-degree >= k is
+    dropped before its flows, since a k-VCC has k+1 such vertices.  The
+    loop needs this for every piece of at most k vertices, which has no
+    cut of fewer than k vertices yet is no k-VCC; on larger pieces the
+    same test skips the cut search where no k-VCC can lie.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
+    comps = two_vccs_domtree(g)
     if k == 2:
-        return two_vccs_domtree(g)
+        return comps
+    base = strip_labels(g)
     out: list[tuple[int, ...]] = []
-    work = [strip_labels(g)]
+    work = [induced_subgraph(base, c) for c in comps]
     while work:
         h = work.pop()
         if sum(len(o) >= k and len(i) >= k for o, i in zip(h.out_adj, h.in_adj)) <= k:
             continue
-        for c in k_vccs(h, k - 1):
-            if len(c) <= k:
-                continue
-            p = induced_subgraph(h, c)
-            cut = _cut_below(p, k)
-            if cut is None:
-                out.append(p.origin_labels)
-            else:
-                work.extend(_strong_pieces(p, cut))
+        cut = _cut_below(h, k)
+        if cut is None:
+            out.append(h.origin_labels)
+        else:
+            work.extend(_strong_pieces(h, cut))
     return sorted(set(out))
 
 

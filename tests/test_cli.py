@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import vconn.articulation
 from vconn import from_edge_list, format_edge_list
 from vconn.cli import bench, run
-from vconn.errors import MismatchedOutputs
+from vconn.errors import InvalidSpec, MismatchedOutputs
+from vconn.testkit import GenSpec, gen_random
 
 from conftest import FIG1_EDGES
 
@@ -43,6 +45,26 @@ def test_sap_unions_over_sccs(tmp_path, capsys):
     path.write_text(format_edge_list(g))
     assert run(["sap", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["0", "1", "2", "3", "4", "5"]
+
+
+def test_sap_takes_strong_connectivity_from_the_splitter(fig1_file, tmp_path, monkeypatch, capsys):
+    # Every piece from the splitter is strongly connected, so the command
+    # never asks for that to be proved again.
+    chain = gen_random(GenSpec(n=200, m=800, model="planted", seed=5, sizes=(4,) * 66))
+    chain_file = tmp_path / "chain.txt"
+    chain_file.write_text(format_edge_list(chain))
+    expected = {}
+    for path in (fig1_file, str(chain_file)):
+        assert run(["sap", path]) == 0
+        expected[path] = capsys.readouterr().out
+
+    def forbidden(g):
+        raise AssertionError("strong connectivity checked again")
+
+    monkeypatch.setattr(vconn.articulation, "is_strongly_connected", forbidden)
+    for path, out in expected.items():
+        assert run(["sap", path]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_usage_error_exit_2(fig1_file, capsys):
@@ -95,11 +117,18 @@ def test_kvcc_with_k_far_above_n(tmp_path, capsys):
         ["gen", "--model", "planted", "-n", "5", "-m", "0", "--sizes", "a,b"],
         ["bench", "--sizes", "abc"],
         ["bench", "--sizes", "20", "--clique", "1", "--reps", "1"],
+        ["bench", "--sizes", "20", "--density", "nan", "--reps", "1"],
+        ["bench", "--sizes", "20", "--density", "inf", "--reps", "1"],
     ],
 )
 def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):
     assert run(argv) in (1, 2)
     assert capsys.readouterr().out == ""
+
+
+def test_bench_rejects_a_density_whose_edge_count_overflows():
+    with pytest.raises(InvalidSpec, match="no finite edge count"):
+        bench([20], ["split"], 1, density=1e308)
 
 
 def test_sparsify_output(fig1_file, capsys):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import vconn.kvcc
 from vconn import (
     from_edge_list,
     induced_subgraph,
@@ -14,6 +15,7 @@ from vconn import (
     remove_vertices,
     reverse,
     three_vccs,
+    two_vccs_domtree,
     two_vccs_split,
     vertex_connectivity,
 )
@@ -101,14 +103,36 @@ def test_k_vccs_examples(fig1, k4b):
 
 
 def test_k_far_above_n_returns_empty_without_recursing(fig1):
-    # Fewer than k+1 vertices have in- and out-degree >= k, so no k-VCC
-    # exists; the answer comes before any (k-1)-level recursion.
+    # Fewer than k+1 vertices have in- and out-degree >= k in any 2-VCC,
+    # so no k-VCC exists; the degree filter drops every piece before any
+    # flow network is built.
     assert k_vccs(fig1, 5000) == []
 
 
 def test_three_vccs_match_brute_force():
     for g in mixed_corpus(120, base_seed=72_000, max_n=9):
         assert three_vccs(g) == brute_k_vccs(g, 3)
+
+
+def test_four_and_five_vccs_match_brute_force():
+    for g in mixed_corpus(120, base_seed=72_000, max_n=9):
+        for k in (4, 5):
+            assert k_vccs(g, k) == brute_k_vccs(g, k), (k, g.edges)
+
+
+def test_two_vcc_engine_runs_once_per_call(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g.n)
+        return two_vccs_domtree(g)
+
+    monkeypatch.setattr(vconn.kvcc, "two_vccs_domtree", spy)
+    g = gen_random(GenSpec(n=51, m=330, model="planted", seed=127_300, sizes=(6,) * 10))
+    for k in (3, 4):
+        calls.clear()
+        k_vccs(g, k)
+        assert calls == [g.n]
 
 
 def test_k2_delegates_to_split():
