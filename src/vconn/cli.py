@@ -150,6 +150,18 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(message) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for an integer of at least 1."""
+    message = f"expected a positive integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _cmd_gen(args) -> int:
     spec = testkit.GenSpec(
         n=args.n,
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", type=_int_list, default="100,200,400", help="comma-separated vertex counts"
     )
     p.add_argument("--algos", default="es,split", help="comma-separated variant names")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=4.0, help="edges per vertex")
     p.add_argument("--clique", type=int, default=BENCH_CLIQUE, help="planted clique size")

@@ -125,6 +125,40 @@ def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
     return [induced_subgraph(h, c) for c in _group_components(h.n, comp) if len(c) >= 3]
 
 
+def _degree_core(h: DiGraph, k: int) -> list[int] | None:
+    """Vertices of the (k,k)-core of h, or None when that core is all of h.
+
+    The (k,k)-core is what remains after repeatedly deleting a vertex of
+    in- or out-degree below k; it is unique, since a deleted vertex never
+    regains degree.  Each vertex is deleted once and each edge lowers one
+    degree once, so the peel is O(n + m); a graph whose degrees are all at
+    least k already pays only the two minimum scans.
+    """
+    if min(map(len, h.out_adj), default=k) >= k and min(map(len, h.in_adj), default=k) >= k:
+        return None
+    out_deg = [len(row) for row in h.out_adj]
+    in_deg = [len(row) for row in h.in_adj]
+    stack = [v for v in range(h.n) if out_deg[v] < k or in_deg[v] < k]
+    alive = bytearray(b"\x01") * h.n
+    for v in stack:
+        alive[v] = 0
+    while stack:
+        v = stack.pop()
+        for w in h.out_adj[v]:
+            if alive[w]:
+                in_deg[w] -= 1
+                if in_deg[w] < k:
+                    alive[w] = 0
+                    stack.append(w)
+        for w in h.in_adj[v]:
+            if alive[w]:
+                out_deg[w] -= 1
+                if out_deg[w] < k:
+                    alive[w] = 0
+                    stack.append(w)
+    return [v for v in range(h.n) if alive[v]]
+
+
 def strongly_connected_components(g: DiGraph) -> SccPartition:
     """Maximal strongly connected vertex sets, canonically ordered."""
     comp, _ = _scc_ids(g.n, g.out_adj)

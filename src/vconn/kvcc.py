@@ -147,6 +147,13 @@ def is_k_vertex_connected(g: DiGraph, k: int) -> bool:
     return g.n >= k + 1 and _cut_below(g, k) is None
 
 
+def _too_few_of_degree(h: DiGraph, k: int) -> bool:
+    """True when at most k vertices of h have in- and out-degree >= k, so
+    h holds no k-VCC: each of a k-VCC's k+1 or more vertices has k in- and
+    k out-neighbours inside it."""
+    return sum(len(o) >= k and len(i) >= k for o, i in zip(h.out_adj, h.in_adj)) <= k
+
+
 def k_vccs(g: DiGraph, k: int) -> ComponentList:
     """Vertex sets of the maximal k-vertex-connected subgraphs of g.
 
@@ -170,10 +177,14 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     dropped before its flows, since a k-VCC has k+1 such vertices.  The
     loop needs this for every piece of at most k vertices, which has no
     cut of fewer than k vertices yet is no k-VCC; on larger pieces the
-    same test skips the cut search where no k-VCC can lie.
+    same test skips the cut search where no k-VCC can lie.  The same test
+    on g itself returns [] before the 2-VCC engine runs, so a k far above
+    the degrees costs O(n + m).
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
+    if _too_few_of_degree(g, k):
+        return []
     comps = two_vccs_domtree(g)
     if k == 2:
         return comps
@@ -182,7 +193,7 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     work = [induced_subgraph(base, c) for c in comps]
     while work:
         h = work.pop()
-        if sum(len(o) >= k and len(i) >= k for o, i in zip(h.out_adj, h.in_adj)) <= k:
+        if _too_few_of_degree(h, k):
             continue
         cut = _cut_below(h, k)
         if cut is None:

@@ -119,6 +119,8 @@ def test_kvcc_with_k_far_above_n(tmp_path, capsys):
         ["bench", "--sizes", "20", "--clique", "1", "--reps", "1"],
         ["bench", "--sizes", "20", "--density", "nan", "--reps", "1"],
         ["bench", "--sizes", "20", "--density", "inf", "--reps", "1"],
+        ["bench", "--sizes", "20", "--reps", "0"],
+        ["bench", "--sizes", "20", "--reps", "-1"],
     ],
 )
 def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):

@@ -8,7 +8,7 @@ from vconn import (
     underlying_undirected,
     undirected_biconnected_components,
 )
-from vconn.connectivity import _strong_pieces
+from vconn.connectivity import _degree_core, _strong_pieces
 from vconn.graph import UndirectedGraph
 from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
@@ -97,6 +97,31 @@ def test_strong_pieces_at_a_cut_hold_every_k_vcc():
             labels = [set(p.origin_labels) for p in pieces]
             for c in comps:
                 assert any(set(c) <= s for s in labels), (c, cut)
+
+
+def _core_by_repeated_deletion(g, k):
+    alive = set(range(g.n))
+    while True:
+        low = [
+            v
+            for v in sorted(alive)
+            if sum(w in alive for w in g.out_adj[v]) < k
+            or sum(w in alive for w in g.in_adj[v]) < k
+        ]
+        if not low:
+            return sorted(alive)
+        alive.remove(low[0])
+
+
+def test_degree_core_matches_repeated_deletion():
+    for g in mixed_corpus(200, base_seed=93_000, max_n=10):
+        for k in (1, 2, 3):
+            expected = _core_by_repeated_deletion(g, k)
+            core = _degree_core(g, k)
+            if core is None:
+                assert expected == list(range(g.n)), (k, g.edges)
+            else:
+                assert core == expected and len(core) < g.n, (k, g.edges)
 
 
 def test_blocks_triangle():

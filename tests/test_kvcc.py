@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import vconn.kvcc
+import vconn.twovcc
 from vconn import (
     from_edge_list,
     induced_subgraph,
@@ -133,6 +134,20 @@ def test_two_vcc_engine_runs_once_per_call(monkeypatch):
         calls.clear()
         k_vccs(g, k)
         assert calls == [g.n]
+
+
+def test_k_far_above_the_degrees_skips_the_2vcc_engine(monkeypatch):
+    rounds = []
+    real = vconn.twovcc._points_and_trees
+
+    def spy(h):
+        rounds.append(h.n)
+        return real(h)
+
+    monkeypatch.setattr(vconn.twovcc, "_points_and_trees", spy)
+    g = gen_random(GenSpec(n=2000, m=8000, seed=3, strongly_connected=True))
+    assert k_vccs(g, 3000) == []
+    assert rounds == []
 
 
 def test_k2_delegates_to_split():

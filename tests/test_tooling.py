@@ -33,3 +33,21 @@ def test_only_connectivity_turns_scc_partitions_into_pieces():
         or (isinstance(node, ast.alias) and node.name == "_group_components")
     ]
     assert found == []
+
+
+def test_reference_engines_do_not_prune_to_the_degree_core():
+    # ``split`` recomputes the sparsifier certificates, so the reference
+    # engines share no pruning step with the production engine they check.
+    tree = ast.parse((SRC / "twovcc.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    references = ("es_fixpoint", "two_vccs_es", "two_vccs_split", "two_vccs_containing")
+    found = [
+        f"{name}:{node.lineno}"
+        for name in references
+        for node in ast.walk(functions[name])
+        if (isinstance(node, ast.Name) and node.id == "_degree_core")
+        or (isinstance(node, ast.Attribute) and node.attr == "_degree_core")
+    ]
+    assert found == []

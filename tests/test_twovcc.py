@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from vconn import (
     from_edge_list,
     induced_subgraph,
     is_2vertex_connected,
+    is_strongly_connected,
     reverse,
     strongly_connected_components,
     two_vccs,
@@ -13,7 +16,7 @@ from vconn import (
     two_vccs_split,
 )
 from vconn import articulation, twovcc
-from vconn.connectivity import _scc_ids
+from vconn.connectivity import _degree_core, _scc_ids, _strong_pieces
 from vconn.errors import UnknownVariant, VertexOutOfRange
 from vconn.testkit import GenSpec, brute_two_vccs, check_domtree_structure, gen_random
 from vconn.twovcc import VARIANTS, _canonical, es_fixpoint
@@ -143,6 +146,58 @@ def test_domtree_matches_split_above_oracle_size():
         assert comps, g
         assert comps == two_vccs_split(g), g.edges
         assert two_vccs(reverse(g)) == comps, g.edges
+
+
+def _blocks_on_a_fringe_ring(seed):
+    # Three seeded blocks (uniform m=4n graphs and 4-clique chains with
+    # noise) joined in a ring by fringe vertices of in- and out-degree 1:
+    # the graph is strongly connected, and its (2,2)-core, which drops the
+    # fringe, falls apart into the blocks.
+    rng = random.Random(seed)
+    edges, blocks, offset = [], [], 0
+    for b in range(3):
+        if (seed + b) % 2:
+            n = rng.randint(90, 130)
+            spec = GenSpec(n=n, m=4 * n, seed=seed + b, strongly_connected=True)
+        else:
+            spec = GenSpec(n=121, m=520, model="planted", seed=seed + b, sizes=(4,) * 40)
+        part = gen_random(spec)
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        blocks.append(range(offset, offset + part.n))
+        offset += part.n
+    for b in range(3):
+        x = offset + b
+        edges += [(rng.choice(blocks[b]), x), (x, rng.choice(blocks[(b + 1) % 3]))]
+    return from_edge_list(offset + 3, edges)
+
+
+def test_domtree_matches_split_where_pruning_leaves_several_pieces():
+    for seed in (170_000, 170_001, 170_010):
+        g = _blocks_on_a_fringe_ring(seed)
+        assert is_strongly_connected(g)
+        assert len(_strong_pieces(induced_subgraph(g, _degree_core(g, 2)))) == 3
+        comps = two_vccs_domtree(g)
+        assert comps == two_vccs_split(g), seed
+        assert two_vccs(reverse(g)) == comps, seed
+
+
+def test_domtree_runs_one_round_on_uniform_graphs(monkeypatch):
+    # A dominator round on the giant piece removes only its outer layer of
+    # degree-1 vertices, which took 11-17 rounds on these graphs; the
+    # (2,2)-core drops every layer at once.
+    rounds = []
+    real = twovcc._points_and_trees
+
+    def spy(h):
+        rounds.append(h.n)
+        return real(h)
+
+    monkeypatch.setattr(twovcc, "_points_and_trees", spy)
+    for seed in (1, 2, 3):
+        g = gen_random(GenSpec(n=2000, m=8000, seed=seed, strongly_connected=True))
+        rounds.clear()
+        assert len(two_vccs_domtree(g)) == 1
+        assert len(rounds) == 1, seed
 
 
 def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie):
