@@ -1,6 +1,19 @@
-"""Minimal max-flow network (Edmonds-Karp) used for vertex cuts, edge
-deletion tests and degree-constrained edge deletion.  Capacities are small
-integers, so BFS augmentation is plenty."""
+"""Max-flow (Edmonds-Karp) and the vertex-split network on which every
+vertex-disjoint-path question of the package is answered.
+
+This module alone knows the split network's layout: ``split_network``
+builds it, ``edge_arc`` names an edge's arc in it, and
+``_min_st_vertex_cut`` counts internally vertex-disjoint s->t paths on it
+with one flow capped at a limit (Menger).  The k-VCC split and the
+sparsifier's deletion test both ask that one function.  A flow that stops
+below its limit ends with a failed search, and that search has labelled
+exactly the nodes reachable from the source in the residual network, so
+the separator is read from its labels without another pass.
+
+Capacities are small integers, so BFS augmentation is plenty.
+``sparsify.min_degree2_subgraph`` builds its own bipartite network on
+``FlowNetwork``.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +29,9 @@ class FlowNetwork:
         # Parallel arrays: to[i], cap[i]; arc i^1 is the reverse of arc i.
         self.to: list[int] = []
         self.cap: list[int] = []
+        # Arc into each node on the last search of max_flow: -1 for a node
+        # the search did not reach, -2 for its source.
+        self.last_search: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         idx = len(self.to)
@@ -32,6 +48,7 @@ class FlowNetwork:
         while limit is None or flow < limit:
             prev_arc = [-1] * self.size
             prev_arc[s] = -2
+            self.last_search = prev_arc
             queue = deque([s])
             while queue:
                 u = queue.popleft()
@@ -60,30 +77,14 @@ class FlowNetwork:
             flow += bottleneck
         return flow
 
-    def reachable_in_residual(self, s: int) -> list[bool]:
-        seen = [False] * self.size
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.adj[u]:
-                w = self.to[idx]
-                if self.cap[idx] > 0 and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        return seen
-
-    def saturated(self, idx: int) -> bool:
-        return self.cap[idx] == 0
-
 
 def split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
     """The vertex-split network of g and its base capacities.
 
     Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by arc 2v of
-    unit capacity; edge i of ``g.edges`` becomes arc 2(n+i), from its
-    tail's out-node to its head's in-node, of effectively infinite
-    capacity n+1.  A flow from u's out-node to v's in-node counts
+    unit capacity; edge i of ``g.edges`` becomes arc ``edge_arc(g.n, i)``,
+    from its tail's out-node to its head's in-node, of effectively
+    infinite capacity n+1.  A flow from u's out-node to v's in-node counts
     internally vertex-disjoint u->v paths.
     """
     n = g.n
@@ -94,3 +95,34 @@ def split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
         for w in g.out_adj[u]:
             net.add_edge(2 * u + 1, 2 * w, n + 1)
     return net, list(net.cap)
+
+
+def edge_arc(n: int, i: int) -> int:
+    """The arc of edge i of ``g.edges`` in the split network of a graph g
+    with n vertices: ``split_network`` adds the edges in that order, after
+    the n vertex arcs."""
+    return 2 * (n + i)
+
+
+def _min_st_vertex_cut(
+    net: FlowNetwork, base: list[int], s: int, t: int, limit: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Fewest vertices (excluding s, t) meeting every s->t path in the
+    split network ``net`` with capacities ``base``, counted up to ``limit``.
+
+    Returns the count and, when it is below ``limit``, those vertices in
+    ascending order.  Requires no s->t arc of positive base capacity.  The
+    flow runs from s's out-node to t's in-node, so no augmenting path uses
+    the arc of s or of t, and neither is ever in the cut.  A flow below
+    ``limit`` ended with a failed search, whose labelled nodes are the
+    source side of a minimum cut; the cut is the vertices whose in-node
+    that search reached and whose out-node it did not.
+    """
+    net.cap[:] = base
+    value = net.max_flow(2 * s + 1, 2 * t, limit)
+    if value >= limit:
+        return value, None
+    label = net.last_search
+    return value, tuple(
+        v for v, (a, b) in enumerate(zip(label[0::2], label[1::2])) if a != -1 and b == -1
+    )

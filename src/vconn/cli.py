@@ -44,9 +44,7 @@ class BenchRecord:
 def _load_graph(path: str) -> DiGraph:
     try:
         if path == "-":
-            # stdin arrives decoded by the locale, so check the text itself.
             text = sys.stdin.read()
-            text.encode("ascii")
         else:
             with open(path, "r", encoding="ascii") as handle:
                 text = handle.read()
@@ -162,6 +160,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _variant_list(text: str) -> list[str]:
+    """argparse type for a comma-separated list of distinct 2-VCC variants."""
+    algos = [tok.strip() for tok in text.split(",")]
+    if any(a not in VARIANTS for a in algos) or len(set(algos)) != len(algos):
+        message = f"expected distinct variants among {', '.join(VARIANTS)}, got {text!r}"
+        raise argparse.ArgumentTypeError(message)
+    return algos
+
+
 def _cmd_gen(args) -> int:
     spec = testkit.GenSpec(
         n=args.n,
@@ -209,33 +216,24 @@ def bench(
                 sizes=(clique,) * count,
             )
             g = testkit.gen_random(spec)
-            outputs = {}
-            timings = {}
+            runs = []
             for algo in algos:
                 start = time.perf_counter_ns()
                 comps = two_vccs(g, algo)
-                timings[algo] = time.perf_counter_ns() - start
-                outputs[algo] = comps
-            reference = outputs[algos[0]]
-            for algo in algos[1:]:
-                if outputs[algo] != reference:
+                runs.append((algo, time.perf_counter_ns() - start, comps))
+            reference = runs[0][2]
+            for algo, _, comps in runs[1:]:
+                if comps != reference:
                     raise MismatchedOutputs(
                         f"{algo} disagrees with {algos[0]} on n={n} seed={point_seed}"
                     )
-            for algo in algos:
-                records.append(
-                    BenchRecord(algo, g.n, g.m, timings[algo], len(reference), point_seed)
-                )
+            for algo, nanos, _ in runs:
+                records.append(BenchRecord(algo, g.n, g.m, nanos, len(reference), point_seed))
     return records
 
 
 def _cmd_bench(args) -> int:
-    algos = [tok.strip() for tok in args.algos.split(",")]
-    bad = [a for a in algos if a not in VARIANTS]
-    if bad or not algos:
-        print(f"usage error: unknown algorithm(s) {bad}", file=sys.stderr)
-        return 2
-    records = bench(list(args.sizes), algos, args.reps, args.seed, args.density, args.clique)
+    records = bench(list(args.sizes), args.algos, args.reps, args.seed, args.density, args.clique)
     print("algo,n,m,nanos,components,seed")
     for record in records:
         print(record.csv_row())
@@ -281,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sizes", type=_int_list, default="100,200,400", help="comma-separated vertex counts"
     )
-    p.add_argument("--algos", default="es,split", help="comma-separated variant names")
+    p.add_argument(
+        "--algos", type=_variant_list, default="es,split", help="comma-separated variant names"
+    )
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=4.0, help="edges per vertex")

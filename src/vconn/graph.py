@@ -171,10 +171,10 @@ def strip_labels(g: DiGraph) -> DiGraph:
 
 # --- edge-list text format -------------------------------------------------
 #
-# First non-comment line is "n m", followed by m lines "u v" (0-based
-# decimal).  Lines starting with '#' are comments.  Writers emit edges
-# sorted by (u, v).  A header n above MAX_VERTICES is rejected before
-# anything of size n is allocated.
+# ASCII text.  First non-comment line is "n m", followed by m lines "u v"
+# (0-based decimal: ASCII digits only).  Lines starting with '#' are
+# comments.  Writers emit edges sorted by (u, v).  A header n above
+# MAX_VERTICES is rejected before anything of size n is allocated.
 
 MAX_VERTICES = 10_000_000
 
@@ -182,6 +182,10 @@ MAX_VERTICES = 10_000_000
 def read_edge_list(source: str | TextIO) -> DiGraph:
     """Parse the canonical edge-list interchange format."""
     text = source if isinstance(source, str) else source.read()
+    if not text.isascii():
+        lines = text.split("\n")
+        number = next(i for i, line in enumerate(lines) if not line.isascii())
+        raise EdgeListFormatError(f"line {number + 1} is not ASCII text: {lines[number]!a}")
     rows: list[list[str]] = []
     for line in text.splitlines():
         stripped = line.strip()
@@ -197,6 +201,10 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header: {' '.join(header)!r}") from exc
+    # On ASCII text, isdigit() accepts exactly 0-9, where int() also takes
+    # a sign and underscores.
+    if not (header[0].isdigit() and header[1].isdigit()):
+        raise EdgeListFormatError(f"non-decimal header: {' '.join(header)!r}")
     if n > MAX_VERTICES:
         raise EdgeListFormatError(
             f"header {' '.join(header)!r} asks for more than {MAX_VERTICES} vertices"
@@ -211,6 +219,8 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
             pair = (int(row[0]), int(row[1]))
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line: {' '.join(row)!r}") from exc
+        if not (row[0].isdigit() and row[1].isdigit()):
+            raise EdgeListFormatError(f"non-decimal edge line: {' '.join(row)!r}")
         # The header's m must be the graph's edge count, so no line may be
         # merged away by the DiGraph canonicalisation.
         if pair[0] == pair[1]:

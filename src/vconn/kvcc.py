@@ -1,9 +1,11 @@
 """Minimum vertex cuts, 3-vertex-connected components, and the k-vertex-
 connected-component split loop.
 
-Vertex cuts come from max-flow on the vertex-split network (each vertex
-becomes an in-node -> out-node arc of unit capacity), built once per graph
-and reset for each vertex pair.  A single sweep source does not suffice
+Vertex cuts come from ``_flow._min_st_vertex_cut``: a flow capped at a
+limit on the vertex-split network, built once per graph by
+``_flow.split_network`` and reset for each vertex pair, which returns the
+separator of a pair that has one below the limit.  This module never
+looks inside the network.  A single sweep source does not suffice
 for directed graphs: a set of fewer than c vertices misses one of the
 sources 0..c-1, so sweeping those finds it.  The minimum cut sweeps
 sources 0..kappa; the k-VCC split and the k-connectivity test sweep
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._flow import FlowNetwork, split_network
+from ._flow import _min_st_vertex_cut, split_network
 from .connectivity import _strong_pieces, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
@@ -54,25 +56,6 @@ def _pairs(g: DiGraph) -> Iterator[tuple[int, int, int]]:
                 yield s, s, t
             if s not in out_sets[t]:
                 yield s, t, s
-
-
-def _min_st_vertex_cut(
-    net: FlowNetwork, base: list[int], s: int, t: int, limit: int
-) -> tuple[int, tuple[int, ...] | None]:
-    """Fewest vertices (excluding s, t) meeting every s->t path in the
-    split network ``net``, counted up to ``limit``.
-
-    Returns the count and, when it is below ``limit``, those vertices.
-    Requires (s, t) not an edge.  The flow runs from s's out-node to t's
-    in-node, so no augmenting path uses the arc of s or of t, and neither
-    is ever in the cut.
-    """
-    net.cap[:] = base
-    value = net.max_flow(2 * s + 1, 2 * t, limit)
-    if value >= limit:
-        return value, None
-    side = net.reachable_in_residual(2 * s + 1)
-    return value, tuple(v for v in range(net.size // 2) if side[2 * v] and not side[2 * v + 1])
 
 
 def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._flow import FlowNetwork, split_network
+from ._flow import FlowNetwork, _min_st_vertex_cut, edge_arc, split_network
 from .articulation import is_2vertex_connected
-from .connectivity import _scc_ids
+from .connectivity import _scc_ids, is_strongly_connected
 from .errors import NotStronglyConnected, NotTwoVertexConnected
 from .graph import DiGraph, Edge, induced_subgraph, strip_labels
 from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
@@ -147,16 +147,17 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
         if in_budget > 0:
             net.add_edge(2 + n + v, sink, in_budget)
     net.max_flow(source, sink)
-    kept = [e for e, arc in zip(edges, edge_arcs) if not net.saturated(arc)]
+    kept = [e for e, arc in zip(edges, edge_arcs) if net.cap[arc] > 0]
     return tuple(kept)
 
 
 def _edge_set_strongly_connected(n: int, edges) -> bool:
+    """Whether vertices 0..n-1 (n >= 1) with these edges are strongly
+    connected; the pruning loop of ``approx_mscss`` asks this of a bare
+    edge set, without building a DiGraph each time."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
-    if n == 0:
-        return False
     return _scc_ids(n, adj)[1] == 1
 
 
@@ -167,8 +168,7 @@ def _edge_set_is_2vc(net: FlowNetwork, base: list[int], u: int, v: int) -> bool:
     arc of (u, v) already zeroed; by the lemma in the module docstring the
     answer is whether two internally vertex-disjoint u->v paths remain.
     """
-    net.cap[:] = base
-    return net.max_flow(2 * u + 1, 2 * v, limit=2) == 2
+    return _min_st_vertex_cut(net, base, u, v, 2)[0] == 2
 
 
 def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
@@ -186,9 +186,8 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     """
     core = set(min_degree2_subgraph(g))
     net, base = split_network(g)
-    # Edge i of g.edges is arc 2(n+i) of the split network; g.edges is
-    # sorted, so the scan below runs in descending (u, v) order.
-    candidates = [(e, 2 * (g.n + i)) for i, e in enumerate(g.edges) if e not in core]
+    # g.edges is sorted, so the scan below runs in descending (u, v) order.
+    candidates = [(e, edge_arc(g.n, i)) for i, e in enumerate(g.edges) if e not in core]
     deleted: set[Edge] = set()
     for e, a in reversed(candidates):
         capacity, base[a] = base[a], 0
@@ -199,6 +198,25 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     return tuple(e for e in g.edges if e not in deleted)
 
 
+def _dfs_tree(adj) -> list[Edge]:
+    """(parent, child) pairs of the DFS tree from vertex 0 along ``adj``;
+    each row is pushed in order, so its last entry is explored first."""
+    seen = [False] * len(adj)
+    stack = [(0, -1)]
+    tree: list[Edge] = []
+    while stack:
+        u, p = stack.pop()
+        if seen[u]:
+            continue
+        seen[u] = True
+        if p >= 0:
+            tree.append((p, u))
+        for w in adj[u]:
+            if not seen[w]:
+                stack.append((w, u))
+    return tree
+
+
 def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     """Strongly connected spanning edge set within 2x of the minimum.
 
@@ -206,40 +224,17 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     (at most 2n-2 edges; any strongly connected subgraph needs n), pruned
     to deletion-minimality in descending (u, v) order.
     """
-    if not _edge_set_strongly_connected(g.n, g.edges):
+    if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     n = g.n
     if n == 1:
         return ()
-    kept: set[Edge] = set()
-    # Out-arborescence: DFS from 0 exploring ascending neighbours first.
-    seen = [False] * n
-    stack = [(0, -1)]
-    while stack:
-        u, p = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        if p >= 0:
-            kept.add((p, u))
-        for w in reversed(g.out_adj[u]):
-            if not seen[w]:
-                stack.append((w, u))
-    # In-arborescence: DFS from 0 along reversed edges exploring
-    # descending neighbours first (the opposite orientation lets the two
-    # trees share cycle edges instead of doubling them).
-    seen = [False] * n
-    stack = [(0, -1)]
-    while stack:
-        u, p = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        if p >= 0:
-            kept.add((u, p))
-        for w in g.in_adj[u]:
-            if not seen[w]:
-                stack.append((w, u))
+    # The out-arborescence explores ascending neighbours first and the
+    # in-arborescence, along reversed edges, descending ones: the opposite
+    # orientation lets the two trees share cycle edges instead of doubling
+    # them.
+    kept = set(_dfs_tree([row[::-1] for row in g.out_adj]))
+    kept.update((u, p) for p, u in _dfs_tree(g.in_adj))
     for e in sorted(kept, reverse=True):
         kept.discard(e)
         if not _edge_set_strongly_connected(n, kept):
@@ -281,7 +276,7 @@ def sparsify_problem1(g: DiGraph) -> SparsifyResult:
 def sparsify_problem2(g: DiGraph) -> SparsifyResult:
     """Problem 1 plus strong connectivity of the retained graph."""
     g = strip_labels(g)
-    if not _edge_set_strongly_connected(g.n, g.edges):
+    if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     comps = two_vccs_domtree(g)
     per_component, retained = _retain_components(g, comps)
@@ -289,13 +284,14 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
     for ce in approx_mscss(coarse.graph):
         retained.add(coarse.edge_origins[ce])
     edges = tuple(sorted(retained))
+    sparse = DiGraph(g.n, edges)
     return SparsifyResult(
         problem=2,
         edges=edges,
         components=tuple(comps),
         per_component_edges=per_component,
-        recomputed_components=tuple(two_vccs_split(DiGraph(g.n, edges))),
-        strongly_connected=_edge_set_strongly_connected(g.n, edges),
+        recomputed_components=tuple(two_vccs_split(sparse)),
+        strongly_connected=is_strongly_connected(sparse),
     )
 
 

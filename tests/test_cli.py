@@ -121,6 +121,7 @@ def test_kvcc_with_k_far_above_n(tmp_path, capsys):
         ["bench", "--sizes", "20", "--density", "inf", "--reps", "1"],
         ["bench", "--sizes", "20", "--reps", "0"],
         ["bench", "--sizes", "20", "--reps", "-1"],
+        ["bench", "--sizes", "20", "--reps", "1", "--algos", "split,split"],
     ],
 )
 def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):
@@ -248,6 +249,18 @@ def test_bench_mismatch_aborts(monkeypatch):
     monkeypatch.setattr(cli_mod, "two_vccs", broken)
     with pytest.raises(MismatchedOutputs):
         bench([12], ["es", "split"], 1, seed=2)
+
+
+def test_bench_keeps_each_timing_of_a_repeated_variant(monkeypatch):
+    import types
+
+    import vconn.cli as cli_mod
+
+    ticks = iter([0, 5, 100, 107])
+    clock = types.SimpleNamespace(perf_counter_ns=lambda: next(ticks))
+    monkeypatch.setattr(cli_mod, "time", clock)
+    records = bench([12], ["split", "split"], 1)
+    assert [(r.algo, r.nanos) for r in records] == [("split", 5), ("split", 7)]
 
 
 def test_non_ascii_file_exit_1(tmp_path, capsys):

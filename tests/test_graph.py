@@ -154,6 +154,20 @@ def test_edge_list_comments_and_errors():
         read_edge_list("3 4\n0 1\n0 1\n1 2\n2 0\n")
     with pytest.raises(EdgeListFormatError, match="self-loop edge line: '1 1'"):
         read_edge_list("3 4\n0 1\n1 1\n1 2\n2 0\n")
+    # int() would read these as 3, 2, 0, 10 and -1.
+    with pytest.raises(EdgeListFormatError, match="line 1 is not ASCII text"):
+        read_edge_list("\u0663 \u0660\n")
+    with pytest.raises(EdgeListFormatError, match="line 2 is not ASCII text"):
+        read_edge_list("3 1\n0 \uff12\n")
+    with pytest.raises(EdgeListFormatError, match="non-decimal header: '\\+0 0'"):
+        read_edge_list("+0 0\n")
+    with pytest.raises(EdgeListFormatError, match="non-decimal edge line: '1_0 0'"):
+        read_edge_list("11 1\n1_0 0\n")
+    with pytest.raises(EdgeListFormatError, match="non-decimal edge line: '-1 0'"):
+        read_edge_list("3 1\n-1 0\n")
+    # Longer than int()'s digit limit.
+    with pytest.raises(EdgeListFormatError, match="non-integer header"):
+        read_edge_list("1" * 5000 + " 0\n")
 
 
 def test_header_vertex_count_is_capped(monkeypatch):

@@ -20,6 +20,7 @@ from vconn import (
     two_vccs_split,
     vertex_connectivity,
 )
+from vconn._flow import _min_st_vertex_cut, split_network
 from vconn.errors import InvalidK, NoCutExists, NotStronglyConnected
 from vconn.testkit import (
     GenSpec,
@@ -73,6 +74,46 @@ def test_min_vertex_cut_is_minimum_and_disconnecting():
         assert cut.size == len(expected)
         remaining = [v for v in range(g.n) if v not in set(cut.vertices)]
         assert not is_strongly_connected(induced_subgraph(g, remaining))
+
+
+def _reaches(g, s, t, removed):
+    seen, stack = {s}, [s]
+    while stack:
+        for w in g.out_adj[stack.pop()]:
+            if w not in seen and w not in removed:
+                seen.add(w)
+                stack.append(w)
+    return t in seen
+
+
+def _brute_st_separator_size(g, s, t):
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        if any(not _reaches(g, s, t, set(x)) for x in combinations(others, size)):
+            return size
+    raise AssertionError(f"no separator of {s}->{t}")
+
+
+def test_st_separator_from_the_last_search_matches_brute_force():
+    # The separator is read from the labels of the flow's last, failed
+    # search; check it pair by pair against subsets in increasing size.
+    checked = 0
+    for g in mixed_corpus(150, base_seed=62_000, max_n=9):
+        if not is_strongly_connected(g):
+            continue
+        net, base = split_network(g)
+        for s in range(g.n):
+            for t in range(g.n):
+                if s == t or t in g.out_adj[s]:
+                    continue
+                size = _brute_st_separator_size(g, s, t)
+                count, cut = _min_st_vertex_cut(net, base, s, t, g.n)
+                assert count == size == len(cut)
+                assert s not in cut and t not in cut
+                assert not _reaches(g, s, t, set(cut))
+                assert _min_st_vertex_cut(net, base, s, t, size) == (size, None)
+                checked += 1
+    assert checked > 500
 
 
 def test_is_k_vertex_connected(fig1, k4b, tri):

@@ -51,3 +51,31 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
         or (isinstance(node, ast.Attribute) and node.attr == "_degree_core")
     ]
     assert found == []
+
+
+def test_only_the_flow_module_runs_split_network_flows():
+    # Every vertex-disjoint-path question goes through
+    # ``_flow._min_st_vertex_cut``, so the flow algorithm and its counters
+    # change in one module.  ``min_degree2_subgraph`` runs its own
+    # bipartite network.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed: set[ast.AST] = set()
+        if path.name == "sparsify.py":
+            allowed = {
+                node
+                for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "min_degree2_subgraph"
+                for node in ast.walk(fn)
+            }
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max_flow"
+            and path.name != "_flow.py"
+            and node not in allowed
+        ]
+    assert found == []
