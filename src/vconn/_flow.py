@@ -10,9 +10,19 @@ below its limit ends with a failed search, and that search has labelled
 exactly the nodes reachable from the source in the residual network, so
 the separator is read from its labels without another pass.
 
-Capacities are small integers, so BFS augmentation is plenty.
-``sparsify.min_degree2_subgraph`` builds its own bipartite network on
-``FlowNetwork``.
+``max_flow`` pushes exactly one unit along each augmenting path.  That
+yields a maximum flow on any network with integral capacities.  On the
+networks of this package every augmenting path has bottleneck 1 anyway, so
+a bottleneck walk would find nothing more to push:
+
+* split network: ``_min_st_vertex_cut`` forbids an s->t arc of positive
+  base capacity, so a path leaves s's out-node into the in-node of some
+  x != t.  Its next arc is x's vertex arc, of capacity 1, or the residual
+  of an edge arc into x, which is at most 1 because x's in-node passes on
+  at most one unit.
+* ``sparsify.min_degree2_subgraph`` builds its own bipartite network on
+  ``FlowNetwork``: every source->sink path crosses an edge arc of capacity
+  1 or the residual of one.
 """
 
 from __future__ import annotations
@@ -43,9 +53,11 @@ class FlowNetwork:
         self.cap.append(0)
         return idx
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        """Push one unit per augmenting path from s to t until the flow
+        reaches ``limit`` or no augmenting path is left."""
         flow = 0
-        while limit is None or flow < limit:
+        while flow < limit:
             prev_arc = [-1] * self.size
             prev_arc[s] = -2
             self.last_search = prev_arc
@@ -61,20 +73,13 @@ class FlowNetwork:
                         queue.append(w)
             if prev_arc[t] == -1:
                 break
-            bottleneck = None
             u = t
             while u != s:
                 idx = prev_arc[u]
-                if bottleneck is None or self.cap[idx] < bottleneck:
-                    bottleneck = self.cap[idx]
+                self.cap[idx] -= 1
+                self.cap[idx ^ 1] += 1
                 u = self.to[idx ^ 1]
-            u = t
-            while u != s:
-                idx = prev_arc[u]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                u = self.to[idx ^ 1]
-            flow += bottleneck
+            flow += 1
         return flow
 
 

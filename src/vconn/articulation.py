@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .connectivity import _scc_ids, is_strongly_connected
 from .dominators import DominatorTree, dominator_tree, nontrivial_dominators
-from .errors import NotStronglyConnected
+from .errors import NotStronglyConnected, VertexOutOfRange
 from .graph import DiGraph, reverse
 
 
@@ -20,11 +20,14 @@ def strong_articulation_points(g: DiGraph, pivot: int = 0) -> set[int]:
 
     ``pivot`` is fixed to vertex 0 for determinism; the result is
     independent of the choice (the test suite re-checks with random
-    pivots).  For a general graph, union the results over its strongly
-    connected components.
+    pivots), but a pivot outside [0, n) raises VertexOutOfRange.  For a
+    general graph, union the results over its strongly connected
+    components.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
+    if not 0 <= pivot < g.n:
+        raise VertexOutOfRange(f"pivot {pivot} outside [0, {g.n})")
     if g.n <= 2:
         return set()
     return _points_and_trees(g, pivot)[0]

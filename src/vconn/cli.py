@@ -46,7 +46,9 @@ def _load_graph(path: str) -> DiGraph:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path, "r", encoding="ascii") as handle:
+            # Undecodable bytes pass through as surrogates, so that
+            # read_edge_list names the line for a file as for stdin.
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
                 text = handle.read()
     except UnicodeError as exc:
         raise EdgeListFormatError(

@@ -6,9 +6,12 @@ per-vertex search, the k-VCC split and ``vconn sap``) turns an SCC
 partition into pieces through ``_strong_pieces`` alone: remove a vertex
 set X, take the SCCs of what is left, and rejoin each with X.
 
-Both primitives are implemented iteratively (explicit stacks): recursion
-depth can reach n on path-like graphs and the benchmark harness runs n in
-the thousands.
+Both depth-first searches are iterative: recursion depth can reach n on
+path-like graphs and the benchmark harness runs n in the thousands.  A
+frame holds its vertex and an iterator over that vertex's remaining
+neighbours; ``for w in neighbours: ... break`` descends into w, and the
+loop's ``else`` finishes the vertex, so the visit order is the recursive
+one.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ def _scc_ids(
         # Marked visited but never on the stack: the search passes over it.
         index[x] = -2
     low = [0] * n
-    on_stack = bytearray(n)
     comp = [-1] * n
     scc_stack: list[int] = []
     ncomp = 0
@@ -53,42 +55,36 @@ def _scc_ids(
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        index[root] = low[root] = counter
+        counter += 1
+        scc_stack.append(root)
+        work = [(root, iter(out_adj[root]))]
         while work:
-            frame = work[-1]
-            v, pos = frame
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack[v] = 1
-            adj = out_adj[v]
-            advanced = False
-            while pos < len(adj):
-                w = adj[pos]
-                pos += 1
+            v, neighbours = work[-1]
+            for w in neighbours:
                 if index[w] == -1:
-                    frame[1] = pos
-                    work.append([w, 0])
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    scc_stack.append(w)
+                    work.append((w, iter(out_adj[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                # w is on the stack iff it is visited (skip vertices are
+                # -2) and not yet in a component.
+                if comp[w] == -1 and 0 <= index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = scc_stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp, ncomp
 
 
@@ -189,7 +185,6 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
     adj = u.adj
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
     edge_stack: list[tuple[int, int]] = []
     blocks: list[tuple[int, ...]] = []
     counter = 0
@@ -198,27 +193,24 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
             continue
         disc[root] = low[root] = counter
         counter += 1
-        stack: list[list[int]] = [[root, 0]]
+        # Frames are (vertex, its tree parent, its unscanned neighbours).
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            frame = stack[-1]
-            v, pos = frame
-            if pos < len(adj[v]):
-                frame[1] = pos + 1
-                w = adj[v][pos]
+            v, p, neighbours = stack[-1]
+            for w in neighbours:
                 if disc[w] == -1:
-                    parent[w] = v
                     disc[w] = low[w] = counter
                     counter += 1
                     edge_stack.append((v, w))
-                    stack.append([w, 0])
-                elif w != parent[v] and disc[w] < disc[v]:
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != p and disc[w] < disc[v]:
                     edge_stack.append((v, w))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             else:
                 stack.pop()
                 if stack:
-                    p = stack[-1][0]
                     if low[v] < low[p]:
                         low[p] = low[v]
                     if low[v] >= disc[p]:

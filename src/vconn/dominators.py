@@ -4,6 +4,9 @@ The tree is computed with the simple Lengauer-Tarjan variant:
 semidominators plus path-compressed EVAL/LINK, which is near-linear and
 much easier to validate than the true linear-time algorithms.  Everything
 is iterative; recursion depth would otherwise reach n on path-like inputs.
+The depth-first search keeps frames of a dfs number and an iterator over
+that vertex's remaining out-neighbours, as the searches in
+``connectivity`` do, so its preorder is the recursive one.
 
 Derived sets used by the connectivity algorithms:
 
@@ -52,31 +55,22 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
     out_adj = g.out_adj
     in_adj = g.in_adj
 
-    # DFS preorder (iterative, mimics the recursive tree exactly).
+    # DFS preorder; frames are (dfs number, unscanned out-neighbours).
     dfnum = [-1] * n
-    pre: list[int] = []
-    parent: list[int] = []  # dfs-number space
     dfnum[v] = 0
-    pre.append(v)
-    parent.append(-1)
-    stack: list[list[int]] = [[v, 0]]
+    pre = [v]
+    parent = [-1]  # dfs-number space
+    stack = [(0, iter(out_adj[v]))]
     while stack:
-        frame = stack[-1]
-        x, pos = frame
-        adj = out_adj[x]
-        pushed = False
-        while pos < len(adj):
-            w = adj[pos]
-            pos += 1
+        x, neighbours = stack[-1]
+        for w in neighbours:
             if dfnum[w] == -1:
-                frame[1] = pos
-                dfnum[w] = len(pre)
-                parent.append(dfnum[x])
+                dfnum[w] = d = len(pre)
                 pre.append(w)
-                stack.append([w, 0])
-                pushed = True
+                parent.append(x)
+                stack.append((d, iter(out_adj[w])))
                 break
-        if not pushed:
+        else:
             stack.pop()
     if len(pre) != n:
         raise NotAFlowgraph(f"{n - len(pre)} vertices unreachable from {v}")
@@ -129,14 +123,14 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
         if samedom[w] != -1:
             idom_num[w] = idom_num[samedom[w]]
 
+    # Filled in vertex order, so each children list comes out sorted.
     idom: dict[int, int] = {}
     children: list[list[int]] = [[] for _ in range(n)]
-    for w in range(1, n):
-        iv = pre[idom_num[w]]
-        wv = pre[w]
-        idom[wv] = iv
-        children[iv].append(wv)
-    return DominatorTree(v, idom, tuple(tuple(sorted(c)) for c in children))
+    for w in range(n):
+        if w != v:
+            iw = idom[w] = pre[idom_num[dfnum[w]]]
+            children[iw].append(w)
+    return DominatorTree(v, idom, tuple(map(tuple, children)))
 
 
 def nontrivial_dominators(t: DominatorTree) -> set[int]:

@@ -146,7 +146,8 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
         in_budget = len(g.in_adj[v]) - 2
         if in_budget > 0:
             net.add_edge(2 + n + v, sink, in_budget)
-    net.max_flow(source, sink)
+    # len(edges) bounds the flow: each unit saturates one unit edge arc.
+    net.max_flow(source, sink, len(edges))
     kept = [e for e, arc in zip(edges, edge_arcs) if net.cap[arc] > 0]
     return tuple(kept)
 

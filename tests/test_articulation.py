@@ -10,7 +10,7 @@ from vconn import (
     reverse,
     strong_articulation_points,
 )
-from vconn.errors import NotStronglyConnected
+from vconn.errors import NotStronglyConnected, VertexOutOfRange
 from vconn.testkit import brute_sap
 
 from conftest import mixed_corpus
@@ -31,6 +31,18 @@ def test_c3_all(c3):
 def test_requires_strong_connectivity():
     with pytest.raises(NotStronglyConnected):
         strong_articulation_points(from_edge_list(2, [(0, 1)]))
+
+
+def test_pivot_out_of_range():
+    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for pivot in (4, -1, -5):
+        with pytest.raises(VertexOutOfRange):
+            strong_articulation_points(g, pivot)
+    with pytest.raises(VertexOutOfRange):
+        strong_articulation_points(from_edge_list(1, []), 1)
+    # Strong connectivity is checked first.
+    with pytest.raises(NotStronglyConnected):
+        strong_articulation_points(from_edge_list(0, []), 0)
 
 
 def test_small_graphs():

@@ -270,6 +270,13 @@ def test_non_ascii_file_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: EdgeListFormatError: ")
 
 
+def test_non_ascii_file_names_the_line(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"3 3\n# caf\xc3\xa9\n0 1\n1 2\n2 0\n")
+    assert run(["scc", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: EdgeListFormatError: line 2 is not ASCII text")
+
+
 def test_missing_file_exit_1(capsys):
     assert run(["scc", "/nonexistent/graph.txt"]) == 1
     capsys.readouterr()

@@ -1,10 +1,15 @@
 import random
+import sys
 
 from vconn import (
+    dominator_tree,
     from_edge_list,
     is_strongly_connected,
     remove_vertices,
+    root_children,
+    strong_articulation_points,
     strongly_connected_components,
+    two_vccs,
     underlying_undirected,
     undirected_biconnected_components,
 )
@@ -157,3 +162,19 @@ def test_blocks_deterministic():
             strongly_connected_components(g).components
             == strongly_connected_components(g).components
         )
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    n = 20_000
+    assert n > sys.getrecursionlimit()
+    cycle = [(v, (v + 1) % n) for v in range(n)]
+    directed = from_edge_list(n, cycle)
+    bidirected = from_edge_list(n, cycle + [(w, v) for v, w in cycle])
+    assert len(strongly_connected_components(directed).components) == 1
+    assert dominator_tree(directed, 0).idom[n - 1] == n - 2
+    assert len(root_children(dominator_tree(bidirected, 0))) == n - 1
+    assert undirected_biconnected_components(underlying_undirected(bidirected)) == [
+        tuple(range(n))
+    ]
+    assert two_vccs(bidirected) == [tuple(range(n))]
+    assert strong_articulation_points(directed) == set(range(n))
