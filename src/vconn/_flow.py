@@ -10,6 +10,16 @@ below its limit ends with a failed search, and that search has labelled
 exactly the nodes reachable from the source in the residual network, so
 the separator is read from its labels without another pass.
 
+Each search of ``max_flow`` stops as soon as it labels t.  An arc into a
+node is recorded once, at the node's first label, so stopping there
+changes no augmenting path; only a successful search is cut short, and a
+successful search is never read for a separator.  The labelled set of the
+failed search is the set of nodes reachable from the source in the
+residual network of a maximum flow, and that set is the same for every
+maximum flow (it is the source side of the unique minimal minimum cut).
+So a faster kernel, such as Dinic's or a greedily seeded flow, returns the
+same separators as long as it ends with a full residual search.
+
 ``max_flow`` pushes exactly one unit along each augmenting path.  That
 yields a maximum flow on any network with integral capacities.  On the
 networks of this package every augmenting path has bottleneck 1 anyway, so
@@ -26,8 +36,6 @@ a bottleneck walk would find nothing more to push:
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .graph import DiGraph
 
@@ -55,30 +63,34 @@ class FlowNetwork:
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
         """Push one unit per augmenting path from s to t until the flow
-        reaches ``limit`` or no augmenting path is left."""
+        reaches ``limit`` or no augmenting path is left.  Each breadth-first
+        search stops when it labels t; only the last, failed one labels
+        everything the source reaches."""
+        adj, to, cap, size = self.adj, self.to, self.cap, self.size
         flow = 0
         while flow < limit:
-            prev_arc = [-1] * self.size
+            prev_arc = [-1] * size
             prev_arc[s] = -2
             self.last_search = prev_arc
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                if u == t:
-                    break
-                for idx in self.adj[u]:
-                    w = self.to[idx]
-                    if self.cap[idx] > 0 and prev_arc[w] == -1:
+            queue = [s]
+            for u in queue:
+                for idx in adj[u]:
+                    w = to[idx]
+                    if cap[idx] > 0 and prev_arc[w] == -1:
                         prev_arc[w] = idx
                         queue.append(w)
-            if prev_arc[t] == -1:
+                        if w == t:
+                            break
+                if prev_arc[t] != -1:
+                    break
+            else:  # the queue ran dry without labelling t
                 break
             u = t
             while u != s:
                 idx = prev_arc[u]
-                self.cap[idx] -= 1
-                self.cap[idx ^ 1] += 1
-                u = self.to[idx ^ 1]
+                cap[idx] -= 1
+                cap[idx ^ 1] += 1
+                u = to[idx ^ 1]
             flow += 1
         return flow
 

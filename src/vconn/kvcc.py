@@ -1,15 +1,39 @@
-"""Minimum vertex cuts, 3-vertex-connected components, and the k-vertex-
-connected-component split loop.
+"""Minimum vertex cuts, vertex connectivity, 3-vertex-connected
+components, and the k-vertex-connected-component split loop.
 
 Vertex cuts come from ``_flow._min_st_vertex_cut``: a flow capped at a
 limit on the vertex-split network, built once per graph by
 ``_flow.split_network`` and reset for each vertex pair, which returns the
 separator of a pair that has one below the limit.  This module never
-looks inside the network.  A single sweep source does not suffice
-for directed graphs: a set of fewer than c vertices misses one of the
-sources 0..c-1, so sweeping those finds it.  The minimum cut sweeps
-sources 0..kappa; the k-VCC split and the k-connectivity test sweep
-sources 0..k-1 and stop at the first cut of fewer than k vertices.
+looks inside the network.  Which pairs are tried is the whole question,
+and two searches answer it.
+
+*One source* (Esfahanian and Hakimi, "On computing the connectivity of
+graphs and digraphs", Networks 1984).  Lemma: let X be a minimum set
+whose removal leaves g not strongly connected, and let A, B split g - X
+with no edge from A to B.  Each x in X has an in-neighbour in A and an
+out-neighbour in B, since g - (X - x) is strongly connected.  So for any
+vertex v one of these pairs is non-adjacent and separated by X: (v, w)
+with w in B, if v is in A; (w, v) with w in A, if v is in B; (x, y) with
+x an in-neighbour of v in A and y an out-neighbour of v in B, if v is in
+X.  If g is not strongly connected, X is empty and v lies in A or B.
+``_one_source_pairs`` tries exactly these pair shapes for the v of least
+in-degree x out-degree: at most 2(n-1) + d-(v)d+(v) flows, where Even's
+sweep of sources 0..k-1 ("An algorithm for determining whether the
+connectivity of a graph is at least k", SIAM J. Comput. 1975) needs
+about 2kn.  ``_cut_below`` (the k-VCC split and ``is_k_vertex_connected``)
+returns the separator of the first pair whose flow stays below k.
+``vertex_connectivity`` takes the least flow over all the pairs: every
+non-adjacent pair needs at least kappa vertices to separate it, and the
+lemma gives one that needs exactly kappa.
+
+*Sweep.*  ``min_vertex_cut`` promises the lexicographically smallest of
+the minimum cuts met by sweeping sources 0, 1, ... until more sources
+than the best cut size have been tried; a cut misses one of those
+sources, so the minimum is found.  The one-source search finds the same
+size but often a different cut, so ``_global_min_cut`` keeps the sweep
+and the documented choice of cut.
+
 Complete bidirected graphs have no cut and get connectivity n-1 by
 convention.
 
@@ -58,6 +82,26 @@ def _pairs(g: DiGraph) -> Iterator[tuple[int, int, int]]:
                 yield s, t, s
 
 
+def _one_source_pairs(g: DiGraph) -> Iterator[tuple[int, int]]:
+    """The Esfahanian-Hakimi pairs of g (see the module docstring): for the
+    vertex v of least in-degree x out-degree (lowest id on ties), every
+    (v, w) with no edge v->w and every (w, v) with no edge w->v, then every
+    (x, y) with x -> v -> y, x != y and no edge x->y."""
+    v = min(range(g.n), key=lambda u: len(g.out_adj[u]) * len(g.in_adj[u]))
+    outs, ins = set(g.out_adj[v]), set(g.in_adj[v])
+    for w in range(g.n):
+        if w != v:
+            if w not in outs:
+                yield v, w
+            if w not in ins:
+                yield w, v
+    for x in g.in_adj[v]:
+        x_outs = set(g.out_adj[x])
+        for y in g.out_adj[v]:
+            if y != x and y not in x_outs:
+                yield x, y
+
+
 def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
     """Global minimum vertex cut of a strongly connected, non-complete graph.
 
@@ -80,16 +124,11 @@ def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
 
 
 def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
-    """Some set of fewer than k vertices whose removal leaves g not
-    strongly connected, or None if there is none.
-
-    Every such set misses one of the sources 0..k-1, so only pairs with
-    one of those sources are tried, each flow stopped at value k.
-    """
+    """Some set of fewer than k vertices whose removal leaves g (n >= 2)
+    not strongly connected, or None if there is none: the separator of the
+    first one-source pair whose flow, stopped at value k, stays below k."""
     net, base = split_network(g)
-    for s, a, b in _pairs(g):
-        if s >= k:
-            break
+    for a, b in _one_source_pairs(g):
         _, cut = _min_st_vertex_cut(net, base, a, b, k)
         if cut is not None:
             return cut
@@ -103,8 +142,11 @@ def vertex_connectivity(g: DiGraph) -> int:
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     if _is_complete_bidirected(g):
         return g.n - 1
-    kappa, _ = _global_min_cut(g)
-    return kappa
+    net, base = split_network(g)
+    best = g.n - 1
+    for a, b in _one_source_pairs(g):
+        best = min(best, _min_st_vertex_cut(net, base, a, b, best)[0])
+    return best
 
 
 def min_vertex_cut(g: DiGraph) -> VertexCut:

@@ -116,6 +116,38 @@ def test_st_separator_from_the_last_search_matches_brute_force():
     assert checked > 500
 
 
+def test_connectivity_matches_brute_force():
+    checked = 0
+    for g in mixed_corpus(200, base_seed=61_000, max_n=9):
+        if not is_strongly_connected(g):
+            assert not any(is_k_vertex_connected(g, k) for k in range(1, 5))
+            continue
+        if g.m == g.n * (g.n - 1):
+            continue
+        kappa = vertex_connectivity(g)
+        assert kappa == len(brute_min_vertex_cut(g)), g.edges
+        for k in range(1, 5):
+            assert is_k_vertex_connected(g, k) == (g.n >= k + 1 and kappa >= k), (k, g.edges)
+        checked += 1
+    assert checked > 50
+
+
+def test_cut_through_the_least_degree_vertex():
+    # Two bidirected 5-cliques joined only through vertex 0, which has the
+    # least in-degree x out-degree (16, tied with 3-5 and 8-10; the lowest
+    # id wins) and is the only minimum cut, so only the one-source
+    # search's neighbour pairs (x, y) are separated by one vertex.
+    def clique(vs):
+        return [(u, w) for u in vs for w in vs if u != w]
+
+    g = from_edge_list(
+        11, clique(range(1, 6)) + clique(range(6, 11)) + bidirected([(0, 1), (0, 2), (0, 6), (0, 7)])
+    )
+    assert vertex_connectivity(g) == 1
+    assert not is_k_vertex_connected(g, 2)
+    assert min_vertex_cut(g).vertices == (0,)
+
+
 def test_is_k_vertex_connected(fig1, k4b, tri):
     assert is_k_vertex_connected(k4b, 3)
     assert not is_k_vertex_connected(induced_subgraph(fig1, {0, 3, 4, 5}), 3)
@@ -268,3 +300,43 @@ def test_k_vccs_metamorphic_above_oracle_size(spec):
             assert len(set(a) & set(b)) <= k - 1
         for c in comps:
             assert _k_connected_by_dominators(induced_subgraph(g, c), k)
+
+
+# The two strongly connected 6-clique chains above: one 51-vertex 4-VCC.
+CHAIN_SPECS = [s for s in ABOVE_ORACLE_SPECS if s.model == "planted" and s.strongly_connected]
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: str(s.seed))
+def test_one_source_search_bounds_the_flows(monkeypatch, spec):
+    # Esfahanian-Hakimi: the vertex v of least in-degree x out-degree needs
+    # at most 2(n-1) + d-(v)d+(v) flows; the sweep of sources 0..k-1 ran
+    # 264-444 here.
+    g = gen_random(spec)
+    pairs = []
+    real = vconn.kvcc._min_st_vertex_cut
+
+    def spy(net, base, s, t, limit):
+        pairs.append((s, t))
+        return real(net, base, s, t, limit)
+
+    monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
+    v = min(range(g.n), key=lambda u: (len(g.in_adj[u]) * len(g.out_adj[u]), u))
+    bound = 2 * (g.n - 1) + len(g.in_adj[v]) * len(g.out_adj[v])
+    for call in (lambda: is_k_vertex_connected(g, 3), lambda: vertex_connectivity(g)):
+        pairs.clear()
+        call()
+        assert 0 < len(pairs) <= bound
+        assert all(s != t and t not in g.out_adj[s] for s, t in pairs)
+
+
+# min_vertex_cut keeps the sweep's lexicographically smallest minimum cut;
+# the one-source search would find other minimum cuts here.
+SWEEP_CUTS = {127_100: (1, 2, 3, 5), 127_101: (22, 29, 35, 40)}
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: str(s.seed))
+def test_min_vertex_cut_keeps_the_sweep_choice_above_oracle_size(spec):
+    g = gen_random(spec)
+    cut = min_vertex_cut(g)
+    assert cut.vertices == SWEEP_CUTS[spec.seed]
+    assert vertex_connectivity(g) == cut.size
