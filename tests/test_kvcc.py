@@ -329,6 +329,31 @@ def test_one_source_search_bounds_the_flows(monkeypatch, spec):
         assert all(s != t and t not in g.out_adj[s] for s, t in pairs)
 
 
+def test_dense_pieces_take_the_sweep(monkeypatch):
+    # Circulant i -> i+1..i+d (mod 30) is d-connected, and every vertex has
+    # in-degree x out-degree d*d.  With d = 12 that passes 2(k-1)(n-1) = 116
+    # at k = 3, so the sweep of sources 0..2 is tried; with d = 10 it does
+    # not, so the one-source pairs are.
+    pairs = []
+    real = vconn.kvcc._min_st_vertex_cut
+
+    def spy(net, base, s, t, limit):
+        pairs.append((s, t))
+        return real(net, base, s, t, limit)
+
+    monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
+    for d, swept in ((12, True), (10, False)):
+        g = from_edge_list(30, [(i, (i + j) % 30) for i in range(30) for j in range(1, d + 1)])
+        pairs.clear()
+        assert is_k_vertex_connected(g, 3)
+        assert all(t not in g.out_adj[s] for s, t in pairs)
+        assert all(min(s, t) < 3 for s, t in pairs) == swept
+        assert len(pairs) <= (6 * 29 if swept else 2 * 29 + d * d)
+        assert k_vccs(g, 3) == [tuple(range(30))]
+        assert not is_k_vertex_connected(g, d + 1)
+        assert vertex_connectivity(g) == d
+
+
 # min_vertex_cut keeps the sweep's lexicographically smallest minimum cut;
 # the one-source search would find other minimum cuts here.
 SWEEP_CUTS = {127_100: (1, 2, 3, 5), 127_101: (22, 29, 35, 40)}
