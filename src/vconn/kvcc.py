@@ -19,9 +19,12 @@ x an in-neighbour of v in A and y an out-neighbour of v in B, if v is in
 X.  If g is not strongly connected, X is empty and v lies in A or B.
 ``_one_source_pairs`` tries exactly these pair shapes for the v of least
 in-degree x out-degree: at most 2(n-1) + d-(v)d+(v) flows.
-``vertex_connectivity`` takes the least flow over all the pairs: every
+``_global_min_cut`` takes the least flow over all the pairs: every
 non-adjacent pair needs at least kappa vertices to separate it, and the
-lemma gives one that needs exactly kappa.  Sweeping instead would need
+lemma gives one that needs exactly kappa.  ``vertex_connectivity`` and
+``min_vertex_cut`` both call it, so the documented cut is the minimum
+a-b separator closest to a, for the first pair (a, b) in the one-source
+order that kappa vertices separate.  Sweeping instead would need
 sources 0..kappa, up to delta+1 of them for the least degree delta, while
 d-(v)d+(v) <= delta(n-1); on uniform graphs with n = 100 and edge
 probability 0.5 the sweep ran 2810-3122 flows against 863-976, and the
@@ -42,12 +45,6 @@ a third of the one-source flows at k = 3.  On uniform graphs with n = 100
 and 200, edge probability 0.05-0.8 and k = 3, 4, 5 and 8, the rule
 picked the faster search in all 64 cases measured.
 
-``min_vertex_cut`` promises the lexicographically smallest of the
-minimum cuts met by sweeping sources 0, 1, ... until more sources than
-the best cut size have been tried.  The one-source search finds the same
-size but often a different cut, so ``_global_min_cut`` keeps the sweep
-and the documented choice of cut.
-
 Complete bidirected graphs have no cut and get connectivity n-1 by
 convention.
 
@@ -61,7 +58,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import takewhile
 
 from ._flow import _min_st_vertex_cut, split_network
 from .connectivity import _strong_pieces, is_strongly_connected
@@ -85,16 +81,18 @@ def _is_complete_bidirected(g: DiGraph) -> bool:
     return g.m == g.n * (g.n - 1)
 
 
-def _pairs(g: DiGraph) -> Iterator[tuple[int, int, int]]:
-    """Ordered non-adjacent pairs (a, b) with their sweep source s =
-    min(a, b), for s = 0, 1, ... in turn; each pair once."""
+def _sweep_pairs(g: DiGraph, k: int) -> Iterator[tuple[int, int]]:
+    """Ordered non-adjacent pairs (a, b) with min(a, b) a source s < k,
+    for s = 0, 1, ... in turn; each pair once.  Needs k < n, which
+    ``_cut_below``'s rule ensures: d-(v)d+(v) > 2(k-1)(n-1) needs
+    n - 1 > 2(k - 1)."""
     out_sets = [set(row) for row in g.out_adj]
-    for s in range(g.n):
+    for s in range(k):
         for t in range(s + 1, g.n):
             if t not in out_sets[s]:
-                yield s, s, t
+                yield s, t
             if s not in out_sets[t]:
-                yield s, t, s
+                yield t, s
 
 
 def _least_degree_vertex(g: DiGraph) -> int:
@@ -121,24 +119,16 @@ def _one_source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
 
 
 def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
-    """Global minimum vertex cut of a strongly connected, non-complete graph.
-
-    Sweeps sources 0, 1, ... until more sources than the best cut size
-    have been tried; every cut misses one of those sources, so the minimum
-    found is the true minimum.  Among minimum cuts encountered, the
-    lexicographically smallest is returned.
-    """
+    """Vertex connectivity kappa of a strongly connected, non-complete
+    graph and a minimum cut: the separator of the first one-source pair
+    whose flow, capped at the best value so far, falls below it."""
     net, base = split_network(g)
-    best, found = g.n, []
-    for s, a, b in _pairs(g):
-        if s > best:
-            break
-        value, cut = _min_st_vertex_cut(net, base, a, b, best + 1)
-        if value < best:
-            best, found = value, [cut]
-        elif value == best:
-            found.append(cut)
-    return best, min(found)
+    best, cut = g.n - 1, ()
+    for a, b in _one_source_pairs(g, _least_degree_vertex(g)):
+        value, sep = _min_st_vertex_cut(net, base, a, b, best)
+        if sep is not None:
+            best, cut = value, sep
+    return best, cut
 
 
 def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
@@ -151,7 +141,7 @@ def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
     if len(g.out_adj[v]) * len(g.in_adj[v]) <= 2 * (k - 1) * (g.n - 1):
         pairs = _one_source_pairs(g, v)
     else:
-        pairs = ((a, b) for _, a, b in takewhile(lambda p: p[0] < k, _pairs(g)))
+        pairs = _sweep_pairs(g, k)
     for a, b in pairs:
         _, cut = _min_st_vertex_cut(net, base, a, b, k)
         if cut is not None:
@@ -166,16 +156,13 @@ def vertex_connectivity(g: DiGraph) -> int:
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     if _is_complete_bidirected(g):
         return g.n - 1
-    net, base = split_network(g)
-    best = g.n - 1
-    for a, b in _one_source_pairs(g, _least_degree_vertex(g)):
-        best = min(best, _min_st_vertex_cut(net, base, a, b, best)[0])
-    return best
+    return _global_min_cut(g)[0]
 
 
 def min_vertex_cut(g: DiGraph) -> VertexCut:
-    """A minimum vertex cut; deterministic (lexicographically smallest
-    among the minimum cuts produced by the fixed sweep order)."""
+    """A minimum vertex cut: the minimum a-b separator closest to a, for
+    the first pair (a, b) of the one-source order (see the module
+    docstring) that a minimum cut separates."""
     if g.n == 0:
         raise NoCutExists("a graph with no vertices has no vertex cut")
     if not is_strongly_connected(g):

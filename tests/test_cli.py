@@ -93,7 +93,7 @@ def test_scc_and_cut(fig1_file, capsys):
     assert run(["scc", fig1_file]) == 0
     assert capsys.readouterr().out.strip() == "0 1 2 3 4 5 6 7"
     assert run(["cut", fig1_file]) == 0
-    assert capsys.readouterr().out.strip() == "0"
+    assert capsys.readouterr().out.strip() == "2"
 
 
 def test_kvcc(fig1_file, capsys):

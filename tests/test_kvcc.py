@@ -52,7 +52,7 @@ def test_vertex_connectivity_requires_strong(fig1):
 
 def test_min_vertex_cut_examples(bowtie, k4b, c4b):
     assert min_vertex_cut(bowtie).vertices == (0,)
-    assert min_vertex_cut(c4b).vertices == (0, 2)
+    assert min_vertex_cut(c4b).vertices == (1, 3)
     with pytest.raises(NoCutExists, match="complete bidirected"):
         min_vertex_cut(k4b)
     with pytest.raises(NoCutExists, match="single vertex"):
@@ -309,8 +309,7 @@ CHAIN_SPECS = [s for s in ABOVE_ORACLE_SPECS if s.model == "planted" and s.stron
 @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: str(s.seed))
 def test_one_source_search_bounds_the_flows(monkeypatch, spec):
     # Esfahanian-Hakimi: the vertex v of least in-degree x out-degree needs
-    # at most 2(n-1) + d-(v)d+(v) flows; the sweep of sources 0..k-1 ran
-    # 264-444 here.
+    # at most 2(n-1) + d-(v)d+(v) flows; Even's sweep ran 264-444 here.
     g = gen_random(spec)
     pairs = []
     real = vconn.kvcc._min_st_vertex_cut
@@ -322,7 +321,12 @@ def test_one_source_search_bounds_the_flows(monkeypatch, spec):
     monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
     v = min(range(g.n), key=lambda u: (len(g.in_adj[u]) * len(g.out_adj[u]), u))
     bound = 2 * (g.n - 1) + len(g.in_adj[v]) * len(g.out_adj[v])
-    for call in (lambda: is_k_vertex_connected(g, 3), lambda: vertex_connectivity(g)):
+    calls = (
+        lambda: is_k_vertex_connected(g, 3),
+        lambda: vertex_connectivity(g),
+        lambda: min_vertex_cut(g),
+    )
+    for call in calls:
         pairs.clear()
         call()
         assert 0 < len(pairs) <= bound
@@ -352,16 +356,42 @@ def test_dense_pieces_take_the_sweep(monkeypatch):
         assert k_vccs(g, 3) == [tuple(range(30))]
         assert not is_k_vertex_connected(g, d + 1)
         assert vertex_connectivity(g) == d
+        assert min_vertex_cut(g).size == d
 
 
-# min_vertex_cut keeps the sweep's lexicographically smallest minimum cut;
-# the one-source search would find other minimum cuts here.
-SWEEP_CUTS = {127_100: (1, 2, 3, 5), 127_101: (22, 29, 35, 40)}
+DENSITY_SPECS = [
+    GenSpec(n=n, m=int(p * n * (n - 1)), seed=128_000 + i, strongly_connected=True)
+    for i, (n, p) in enumerate(
+        [(30, 0.1), (37, 0.15), (44, 0.2), (50, 0.3), (30, 0.4), (37, 0.5), (30, 0.6), (40, 0.7)]
+    )
+]
+
+
+def test_one_source_cuts_agree_with_the_sweep_above_oracle_size():
+    # min_vertex_cut and vertex_connectivity take the one-source pairs;
+    # is_k_vertex_connected takes the sweep on dense graphs at small k.
+    swept = 0
+    for spec in DENSITY_SPECS:
+        g = gen_random(spec)
+        kappa = vertex_connectivity(g)
+        cut = min_vertex_cut(g)
+        assert cut.size == kappa, spec
+        assert not is_strongly_connected(remove_vertices(g, cut.vertices)), spec
+        v = min(range(g.n), key=lambda u: len(g.in_adj[u]) * len(g.out_adj[u]))
+        for k in sorted({2, 3, kappa, kappa + 1}):
+            assert is_k_vertex_connected(g, k) == (k <= kappa), (spec, k)
+            swept += k > 1 and len(g.in_adj[v]) * len(g.out_adj[v]) > 2 * (k - 1) * (g.n - 1)
+    assert swept >= 4
+
+
+# min_vertex_cut returns the minimum a-b separator closest to a, for the
+# first one-source pair (a, b) that kappa vertices separate.
+ONE_SOURCE_CUTS = {127_100: (1, 2, 3, 5), 127_101: (22, 29, 35, 40)}
 
 
 @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: str(s.seed))
-def test_min_vertex_cut_keeps_the_sweep_choice_above_oracle_size(spec):
+def test_min_vertex_cut_keeps_the_one_source_choice_above_oracle_size(spec):
     g = gen_random(spec)
     cut = min_vertex_cut(g)
-    assert cut.vertices == SWEEP_CUTS[spec.seed]
+    assert cut.vertices == ONE_SOURCE_CUTS[spec.seed]
     assert vertex_connectivity(g) == cut.size

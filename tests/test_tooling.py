@@ -79,3 +79,34 @@ def test_only_the_flow_module_runs_split_network_flows():
             and node not in allowed
         ]
     assert found == []
+
+
+def test_one_pair_loop_per_question():
+    # ``_global_min_cut`` is the one minimum-cut search and ``_cut_below``
+    # the one search for a cut below k; no other function walks a pair
+    # list of its own.
+    allowed = {
+        "_sweep_pairs": {"_cut_below"},
+        "_one_source_pairs": {"_cut_below", "_global_min_cut"},
+    }
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside = {
+            node: fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            for name in (
+                node.id if isinstance(node, ast.Name) else None,
+                node.attr if isinstance(node, ast.Attribute) else None,
+                node.name if isinstance(node, ast.alias) else None,
+            )
+            if name in allowed
+            and not (path.name == "kvcc.py" and inside.get(node) in allowed[name])
+        ]
+    assert found == []
