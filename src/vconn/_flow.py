@@ -7,8 +7,9 @@ builds it, ``edge_arc`` names an edge's arc in it, and
 with one flow capped at a limit (Menger).  The k-VCC split and the
 sparsifier's deletion test both ask that one function.  A flow that stops
 below its limit ends with a failed search, and that search has labelled
-exactly the nodes reachable from the source in the residual network, so
-the separator is read from its labels without another pass.
+exactly the nodes reachable from the source in the residual network.
+``max_flow`` returns the labels of its last search with the flow, so the
+separator is read from them without another pass.
 
 Each search of ``max_flow`` stops as soon as it labels t.  An arc into a
 node is recorded once, at the node's first label, so stopping there
@@ -42,14 +43,10 @@ from .graph import DiGraph
 
 class FlowNetwork:
     def __init__(self, size: int):
-        self.size = size
         self.adj: list[list[int]] = [[] for _ in range(size)]
         # Parallel arrays: to[i], cap[i]; arc i^1 is the reverse of arc i.
         self.to: list[int] = []
         self.cap: list[int] = []
-        # Arc into each node on the last search of max_flow: -1 for a node
-        # the search did not reach, -2 for its source.
-        self.last_search: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         idx = len(self.to)
@@ -61,17 +58,19 @@ class FlowNetwork:
         self.cap.append(0)
         return idx
 
-    def max_flow(self, s: int, t: int, limit: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> tuple[int, list[int]]:
         """Push one unit per augmenting path from s to t until the flow
-        reaches ``limit`` or no augmenting path is left.  Each breadth-first
-        search stops when it labels t; only the last, failed one labels
-        everything the source reaches."""
-        adj, to, cap, size = self.adj, self.to, self.cap, self.size
-        flow = 0
+        reaches ``limit`` or no augmenting path is left.
+
+        Returns the flow and the labels of the last breadth-first search:
+        the arc into each node, -1 for a node it did not reach, -2 for s.
+        Each search stops when it labels t; only the last, failed one
+        labels everything the source reaches."""
+        adj, to, cap, size = self.adj, self.to, self.cap, len(self.adj)
+        flow, prev_arc = 0, []
         while flow < limit:
             prev_arc = [-1] * size
             prev_arc[s] = -2
-            self.last_search = prev_arc
             queue = [s]
             for u in queue:
                 for idx in adj[u]:
@@ -92,7 +91,7 @@ class FlowNetwork:
                 cap[idx ^ 1] += 1
                 u = to[idx ^ 1]
             flow += 1
-        return flow
+        return flow, prev_arc
 
 
 def split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
@@ -136,10 +135,9 @@ def _min_st_vertex_cut(
     that search reached and whose out-node it did not.
     """
     net.cap[:] = base
-    value = net.max_flow(2 * s + 1, 2 * t, limit)
+    value, label = net.max_flow(2 * s + 1, 2 * t, limit)
     if value >= limit:
         return value, None
-    label = net.last_search
     return value, tuple(
         v for v, (a, b) in enumerate(zip(label[0::2], label[1::2])) if a != -1 and b == -1
     )

@@ -80,12 +80,9 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
     ancestor = [-1] * n
     label = list(range(n))
     idom_num = [0] * n
-    samedom = [-1] * n
     buckets: list[list[int]] = [[] for _ in range(n)]
 
     def evaluate(x: int) -> int:
-        if ancestor[x] == -1:
-            return label[x]
         path: list[int] = []
         y = x
         while ancestor[ancestor[y]] != -1:
@@ -113,15 +110,12 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
         if buckets[p]:
             for x in buckets[p]:
                 y = evaluate(x)
-                if semi[y] < semi[x]:
-                    samedom[x] = y
-                else:
-                    idom_num[x] = p
+                idom_num[x] = y if semi[y] < semi[x] else p
             buckets[p].clear()
 
     for w in range(1, n):
-        if samedom[w] != -1:
-            idom_num[w] = idom_num[samedom[w]]
+        if idom_num[w] != semi[w]:
+            idom_num[w] = idom_num[idom_num[w]]
 
     # Filled in vertex order, so each children list comes out sorted.
     idom: dict[int, int] = {}

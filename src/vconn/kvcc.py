@@ -34,11 +34,14 @@ blobs joined through 2 or 3 vertices).
 *Sweep* (Even, "An algorithm for determining whether the connectivity of
 a graph is at least k", SIAM J. Comput. 1975).  A set of fewer than k
 vertices misses one of the sources 0..k-1, so pairs with one of those
-sources suffice to find it: about 2k(n-1) flows.  ``_cut_below`` (the
-k-VCC split and ``is_k_vertex_connected``) returns the separator of the
-first pair whose flow stays below k, and tries whichever pair list has
-the smaller bound: the one-source pairs while d-(v)d+(v) <= 2(k-1)(n-1),
-the sweep's pairs above that.  Sparse pieces take the one-source pairs
+sources suffice to find it.  The sweep is the source pairs
+(``_source_pairs``, the first half of the one-source pairs) of
+s = 0..k-1, each pair once: for source s, those whose other vertex is
+above s.  That is about 2k(n-1) flows.  ``_cut_below`` (the k-VCC split
+and ``is_k_vertex_connected``) returns the separator of the first pair
+whose flow stays below k, and tries whichever pair list has the smaller
+bound: the one-source pairs while d-(v)d+(v) <= 2(k-1)(n-1), the
+sweep's pairs above that.  Sparse pieces take the one-source pairs
 (all three benchmark workloads, degree <= ~8); dense ones take the sweep,
 which on uniform graphs with n = 100 and edge probability 0.5 ran about
 a third of the one-source flows at k = 3.  On uniform graphs with n = 100
@@ -81,29 +84,14 @@ def _is_complete_bidirected(g: DiGraph) -> bool:
     return g.m == g.n * (g.n - 1)
 
 
-def _sweep_pairs(g: DiGraph, k: int) -> Iterator[tuple[int, int]]:
-    """Ordered non-adjacent pairs (a, b) with min(a, b) a source s < k,
-    for s = 0, 1, ... in turn; each pair once.  Needs k < n, which
-    ``_cut_below``'s rule ensures: d-(v)d+(v) > 2(k-1)(n-1) needs
-    n - 1 > 2(k - 1)."""
-    out_sets = [set(row) for row in g.out_adj]
-    for s in range(k):
-        for t in range(s + 1, g.n):
-            if t not in out_sets[s]:
-                yield s, t
-            if s not in out_sets[t]:
-                yield t, s
-
-
 def _least_degree_vertex(g: DiGraph) -> int:
     """The vertex of least in-degree x out-degree, lowest id on ties."""
     return min(range(g.n), key=lambda u: len(g.out_adj[u]) * len(g.in_adj[u]))
 
 
-def _one_source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
-    """The Esfahanian-Hakimi pairs of g and v (see the module docstring):
-    every (v, w) with no edge v->w and every (w, v) with no edge w->v, then
-    every (x, y) with x -> v -> y, x != y and no edge x->y."""
+def _source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
+    """Every (v, w) with no edge v->w and every (w, v) with no edge w->v,
+    for w = 0, 1, ... in turn."""
     outs, ins = set(g.out_adj[v]), set(g.in_adj[v])
     for w in range(g.n):
         if w != v:
@@ -111,6 +99,13 @@ def _one_source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
                 yield v, w
             if w not in ins:
                 yield w, v
+
+
+def _one_source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
+    """The Esfahanian-Hakimi pairs of g and v (see the module docstring):
+    the source pairs of v, then every (x, y) with x -> v -> y, x != y and
+    no edge x->y."""
+    yield from _source_pairs(g, v)
     for x in g.in_adj[v]:
         x_outs = set(g.out_adj[x])
         for y in g.out_adj[v]:
@@ -141,7 +136,8 @@ def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
     if len(g.out_adj[v]) * len(g.in_adj[v]) <= 2 * (k - 1) * (g.n - 1):
         pairs = _one_source_pairs(g, v)
     else:
-        pairs = _sweep_pairs(g, k)
+        # Even's sweep; the rule gives n - 1 > 2(k - 1), so k < n.
+        pairs = ((a, b) for s in range(k) for a, b in _source_pairs(g, s) if max(a, b) > s)
     for a, b in pairs:
         _, cut = _min_st_vertex_cut(net, base, a, b, k)
         if cut is not None:

@@ -114,7 +114,7 @@ def _quotient(g: DiGraph, comps: ComponentList) -> CoarsenedGraph:
         for v in cls:
             cls_of[v] = i
     edge_origins: dict[Edge, Edge] = {}
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         cu, cv = cls_of[u], cls_of[v]
         if cu != cv and (cu, cv) not in edge_origins:
             edge_origins[(cu, cv)] = (u, v)
@@ -132,7 +132,7 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     if not is_2vertex_connected(g):
         raise NotTwoVertexConnected(f"{g!r} is not 2-vertex-connected")
     n = g.n
-    edges = sorted(g.edges)
+    edges = g.edges
     source, sink = 0, 1
     net = FlowNetwork(2 + 2 * n)
     for v in range(n):

@@ -35,6 +35,8 @@ def test_2vcc_all_variants_and_json(fig1_file, capsys):
 def test_sap(fig1_file, capsys):
     assert run(["sap", fig1_file]) == 0
     assert capsys.readouterr().out.splitlines() == ["0", "1", "2", "3", "4"]
+    assert run(["sap", "--json", fig1_file]) == 0
+    assert capsys.readouterr().out == "[0, 1, 2, 3, 4]\n"
 
 
 def test_sap_unions_over_sccs(tmp_path, capsys):
@@ -87,6 +89,10 @@ def test_domtree_output(fig1_file, capsys):
     assert lines[1] == "1 4"
     assert lines[2] == "2 1"
     assert len(lines) == 8
+    assert run(["domtree", "--json", fig1_file]) == 0
+    assert capsys.readouterr().out == (
+        '{"root": 0, "idom": [[0, null], [1, 4], [2, 1], [3, 0], [4, 0], [5, 0], [6, 0], [7, 0]]}\n'
+    )
 
 
 def test_scc_and_cut(fig1_file, capsys):
@@ -94,6 +100,8 @@ def test_scc_and_cut(fig1_file, capsys):
     assert capsys.readouterr().out.strip() == "0 1 2 3 4 5 6 7"
     assert run(["cut", fig1_file]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    assert run(["cut", "--json", fig1_file]) == 0
+    assert capsys.readouterr().out == "[2]\n"
 
 
 def test_kvcc(fig1_file, capsys):
@@ -178,6 +186,12 @@ def test_stdin_non_ascii_exit_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: EdgeListFormatError: ")
+    # A strict decoder raises while stdin is read, before any parsing.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    assert run(["scc", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: EdgeListFormatError: -: not ASCII text (")
 
 
 def test_cut_of_empty_graph_exit_1(monkeypatch, capsys):

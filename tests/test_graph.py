@@ -4,6 +4,7 @@ import pytest
 
 from vconn import (
     DiGraph,
+    UndirectedGraph,
     format_edge_list,
     from_edge_list,
     induced_subgraph,
@@ -39,6 +40,12 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(2, [(0, 2)])
     with pytest.raises(VertexOutOfRange):
         from_edge_list(1, [(-1, 0)])
+    with pytest.raises(VertexOutOfRange, match="vertex count must be non-negative"):
+        DiGraph(-1, [])
+    with pytest.raises(VertexOutOfRange, match="vertex count must be non-negative"):
+        UndirectedGraph(-1, [])
+    with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\) outside \[0, 2\)"):
+        UndirectedGraph(2, [(0, 5)])
 
 
 def test_origin_labels_must_be_injective():
@@ -91,6 +98,8 @@ def test_induced_subgraph_full_set_is_identity(fig1):
 def test_induced_subgraph_rejects_bad_vertex(fig1):
     with pytest.raises(VertexOutOfRange):
         induced_subgraph(fig1, {0, 9})
+    with pytest.raises(VertexOutOfRange, match=r"vertex 8 outside \[0, 8\)"):
+        remove_vertices(fig1, [fig1.n])
 
 
 def test_remove_vertices_complement_equivalence(fig1):
@@ -150,6 +159,8 @@ def test_edge_list_comments_and_errors():
         read_edge_list("2\n")
     with pytest.raises(EdgeListFormatError):
         read_edge_list("2 1\n0 x\n")
+    with pytest.raises(EdgeListFormatError, match="edge line must be 'u v', got '0 1 2'"):
+        read_edge_list("3 1\n0 1 2\n")
     with pytest.raises(EdgeListFormatError, match="repeated edge line: '0 1'"):
         read_edge_list("3 4\n0 1\n0 1\n1 2\n2 0\n")
     with pytest.raises(EdgeListFormatError, match="self-loop edge line: '1 1'"):

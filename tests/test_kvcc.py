@@ -352,6 +352,17 @@ def test_dense_pieces_take_the_sweep(monkeypatch):
         assert is_k_vertex_connected(g, 3)
         assert all(t not in g.out_adj[s] for s, t in pairs)
         assert all(min(s, t) < 3 for s, t in pairs) == swept
+        if swept:
+            # Even's sweep, from its definition: for s < 3 and t > s, (s, t)
+            # if there is no edge s->t, then (t, s) if there is no edge t->s.
+            order = []
+            for s in range(3):
+                for t in range(s + 1, g.n):
+                    if t not in g.out_adj[s]:
+                        order.append((s, t))
+                    if s not in g.out_adj[t]:
+                        order.append((t, s))
+            assert pairs == order
         assert len(pairs) <= (6 * 29 if swept else 2 * 29 + d * d)
         assert k_vccs(g, 3) == [tuple(range(30))]
         assert not is_k_vertex_connected(g, d + 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from vconn import (
@@ -117,6 +119,8 @@ def test_problem2_examples(fig1, tri, c3):
     assert result.size == 17
     extra = set(result.edges) - set(sparsify_problem1(fig1).edges)
     assert extra == {(4, 1), (1, 2), (2, 3)}
+    assert result.certificate_ok
+    assert replace(result, strongly_connected=False).certificate_ok is False
     assert sparsify_problem2(tri).size == 6
     assert sparsify_problem2(c3).size == 3
     with pytest.raises(NotStronglyConnected):
@@ -124,7 +128,11 @@ def test_problem2_examples(fig1, tri, c3):
 
 
 def test_problem3_examples(fig1, bowtie):
-    assert sparsify_problem3(fig1).size == 14
+    result = sparsify_problem3(fig1)
+    assert result.size == 14
+    assert result.certificate_ok
+    changed = ((0,),) + result.recomputed_coarse_components
+    assert replace(result, recomputed_coarse_components=changed).certificate_ok is False
     assert sparsify_problem3(bowtie).size == 12
     assert sparsify_problem3(two_triangles_with_bridge()).size == 12
 
