@@ -33,7 +33,9 @@ a bottleneck walk would find nothing more to push:
   at most one unit.
 * ``sparsify.min_degree2_subgraph`` builds its own bipartite network on
   ``FlowNetwork``: every source->sink path crosses an edge arc of capacity
-  1 or the residual of one.
+  1 or the residual of one.  It seeds the flow greedily before calling
+  ``max_flow``, but a seeded unit is one length-3 path s->u->v'->t, so
+  each edge arc still carries 0 or 1 and bottleneck 1 still holds.
 """
 
 from __future__ import annotations

@@ -7,13 +7,11 @@ stderr), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 
-from . import testkit
 from .articulation import _points_and_trees
 from .connectivity import _strong_pieces, strongly_connected_components
 from .dominators import dominator_tree
@@ -57,9 +55,16 @@ def _load_graph(path: str) -> DiGraph:
     return read_edge_list(text)
 
 
+def _print_json(value) -> None:
+    # json is imported here, so that the text outputs do not load it.
+    import json
+
+    print(json.dumps(value))
+
+
 def _print_components(comps, as_json: bool) -> None:
     if as_json:
-        print(json.dumps([list(c) for c in comps]))
+        _print_json([list(c) for c in comps])
     else:
         for c in comps:
             print(" ".join(str(v) for v in c))
@@ -76,7 +81,7 @@ def _cmd_domtree(args) -> int:
     tree = dominator_tree(g, args.root)
     if args.json:
         rows = [[w, tree.idom.get(w)] for w in range(g.n)]
-        print(json.dumps({"root": tree.root, "idom": rows}))
+        _print_json({"root": tree.root, "idom": rows})
     else:
         for w in range(g.n):
             print(f"{w} -" if w == tree.root else f"{w} {tree.idom[w]}")
@@ -90,7 +95,7 @@ def _cmd_sap(args) -> int:
     # requires.
     points = {h.origin_labels[i] for h in _strong_pieces(g) for i in _points_and_trees(h)[0]}
     if args.json:
-        print(json.dumps(sorted(points)))
+        _print_json(sorted(points))
     else:
         for v in sorted(points):
             print(v)
@@ -113,7 +118,7 @@ def _cmd_cut(args) -> int:
     g = _load_graph(args.graph)
     cut = min_vertex_cut(g)
     if args.json:
-        print(json.dumps(list(cut.vertices)))
+        _print_json(list(cut.vertices))
     else:
         print(" ".join(str(v) for v in cut.vertices))
     return 0
@@ -124,16 +129,14 @@ def _cmd_sparsify(args) -> int:
     solver = {1: sparsify_problem1, 2: sparsify_problem2, 3: sparsify_problem3}[args.problem]
     result = solver(g)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": g.n,
-                    "edges": [list(e) for e in result.edges],
-                    "retained": result.size,
-                    "of": g.m,
-                    "certificate_ok": result.certificate_ok,
-                }
-            )
+        _print_json(
+            {
+                "n": g.n,
+                "edges": [list(e) for e in result.edges],
+                "retained": result.size,
+                "of": g.m,
+                "certificate_ok": result.certificate_ok,
+            }
         )
     else:
         print(format_edge_list(DiGraph(g.n, result.edges)), end="")
@@ -172,6 +175,8 @@ def _variant_list(text: str) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
+    from . import testkit
+
     spec = testkit.GenSpec(
         n=args.n,
         m=args.m,
@@ -200,6 +205,8 @@ def bench(
     compared before any timing row is emitted; a disagreement is an
     implementation bug and aborts the run.
     """
+    from . import testkit
+
     if clique < 2:
         raise InvalidSpec(f"planted clique size must be >= 2, got {clique}")
     if not all(math.isfinite(density * n) for n in sizes):

@@ -128,6 +128,25 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     Solved exactly: deleting an edge (u, v) spends one unit of u's
     out-budget (outdeg-2) and one of v's in-budget (indeg-2), so the
     maximum number of deletable edges is a bipartite flow.
+
+    The flow is seeded greedily and finished by Edmonds-Karp, and the kept
+    edges are exactly those of plain Edmonds-Karp on the same network.
+    Call (u, v) available while u has out-budget, the edge is unused and v
+    has in-budget; the source->sink paths of length 3 are the s->u->v'->t
+    of the available (u, v).  The network adds the source arcs by
+    ascending u, then the edge arcs in the (sorted) order of ``g.edges``,
+    then the sink arcs.  So a breadth-first search from s labels every u
+    with out-budget before any v', labels each v' from the least such u
+    with an unused edge to it, and labels t from the first v' with
+    in-budget: while a length-3 path is left, Edmonds-Karp pushes along
+    the one of the lexicographically smallest available (u, v).  The
+    greedy pass scans ``g.edges`` in that order and pushes every pair
+    available when it is reached.  Availability only shrinks, so a pair
+    passed over never becomes available again; the pass makes the same
+    pushes in the same order as Edmonds-Karp's length-3 phase, and both
+    end with no length-3 path.  From that identical residual network
+    Edmonds-Karp makes the same remaining augmentations, so the same edge
+    arcs end saturated.
     """
     if not is_2vertex_connected(g):
         raise NotTwoVertexConnected(f"{g!r} is not 2-vertex-connected")
@@ -135,21 +154,30 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     edges = g.edges
     source, sink = 0, 1
     net = FlowNetwork(2 + 2 * n)
+    cap = net.cap
+    source_arcs = [-1] * n
     for v in range(n):
         out_budget = len(g.out_adj[v]) - 2
         if out_budget > 0:
-            net.add_edge(source, 2 + v, out_budget)
-    edge_arcs: list[int] = []
-    for u, v in edges:
-        edge_arcs.append(net.add_edge(2 + u, 2 + n + v, 1))
+            source_arcs[v] = net.add_edge(source, 2 + v, out_budget)
+    edge_arcs = [net.add_edge(2 + u, 2 + n + v, 1) for u, v in edges]
+    sink_arcs = [-1] * n
     for v in range(n):
         in_budget = len(g.in_adj[v]) - 2
         if in_budget > 0:
-            net.add_edge(2 + n + v, sink, in_budget)
+            sink_arcs[v] = net.add_edge(2 + n + v, sink, in_budget)
+    for (u, v), arc in zip(edges, edge_arcs):
+        a, b = source_arcs[u], sink_arcs[v]
+        if a >= 0 and b >= 0 and cap[a] > 0 and cap[b] > 0:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            cap[arc] = 0
+            cap[arc ^ 1] = 1
+            cap[b] -= 1
+            cap[b ^ 1] += 1
     # len(edges) bounds the flow: each unit saturates one unit edge arc.
     net.max_flow(source, sink, len(edges))
-    kept = [e for e, arc in zip(edges, edge_arcs) if net.cap[arc] > 0]
-    return tuple(kept)
+    return tuple(e for e, arc in zip(edges, edge_arcs) if cap[arc] > 0)
 
 
 def _edge_set_strongly_connected(n: int, edges) -> bool:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,15 @@ def test_non_ascii_file_names_the_line(tmp_path, capsys):
 def test_missing_file_exit_1(capsys):
     assert run(["scc", "/nonexistent/graph.txt"]) == 1
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_neither_testkit_nor_json():
+    # Only ``gen``, ``bench`` and ``--json`` need them, so the other
+    # commands start without loading them.
+    src = str(Path(vconn.articulation.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, vconn.cli; print(sorted({'vconn.testkit', 'json'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

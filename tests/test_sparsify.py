@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from vconn import (
     sparsify_problem3,
     two_vccs,
 )
+from vconn._flow import FlowNetwork
 from vconn.errors import NotStronglyConnected, NotTwoVertexConnected
 from vconn.testkit import GenSpec, brute_mscss, brute_opt_sparsifier, gen_random
 
@@ -63,6 +65,90 @@ def test_min_degree2_subgraph(tri, k4b, fig1):
     assert set(min_degree2_subgraph(sub)) == set(sub.edges)
     with pytest.raises(NotTwoVertexConnected):
         min_degree2_subgraph(from_edge_list(3, [(0, 1), (1, 2), (2, 0)]))
+
+
+def plain_edmonds_karp_core(g):
+    """Reference: the degree-2 core from unseeded Edmonds-Karp on the same
+    bipartite budget network, one augmenting search per unit of flow."""
+    n, edges = g.n, g.edges
+    net = FlowNetwork(2 + 2 * n)
+    for v in range(n):
+        if len(g.out_adj[v]) > 2:
+            net.add_edge(0, 2 + v, len(g.out_adj[v]) - 2)
+    edge_arcs = [net.add_edge(2 + u, 2 + n + v, 1) for u, v in edges]
+    for v in range(n):
+        if len(g.in_adj[v]) > 2:
+            net.add_edge(2 + n + v, 1, len(g.in_adj[v]) - 2)
+    net.max_flow(0, 1, len(edges))
+    return tuple(e for e, arc in zip(edges, edge_arcs) if net.cap[arc] > 0)
+
+
+def test_seeded_core_matches_plain_edmonds_karp():
+    graphs = [clique_cycle(174_000 + i) for i in range(4)]
+    graphs += [gen_random(GenSpec(n=250, m=250, model="planted", seed=174_100 + i,
+                                  sizes=(4,) * 83, strongly_connected=True))
+               for i in range(2)]
+    graphs += [gen_random(GenSpec(n=60, m=300, seed=174_200 + i, strongly_connected=True))
+               for i in range(4)]
+    for i, (n, p) in enumerate([(30, 0.5), (34, 0.7), (37, 0.8), (40, 0.9)]):
+        graphs.append(gen_random(GenSpec(n=n, m=int(p * n * (n - 1)), seed=174_300 + i,
+                                         strongly_connected=True)))
+    pieces = 0
+    for g in graphs:
+        for comp in two_vccs(g):
+            piece = induced_subgraph(g, comp)
+            assert min_degree2_subgraph(piece) == plain_edmonds_karp_core(piece)
+            pieces += 1
+    assert pieces >= len(graphs)
+
+
+def test_min_degree2_subgraph_is_minimum():
+    def degrees_ok(n, edges):
+        outs, ins = [0] * n, [0] * n
+        for u, v in edges:
+            outs[u] += 1
+            ins[v] += 1
+        return min(outs) >= 2 and min(ins) >= 2
+
+    checked = trimmed = 0
+    for g in mixed_corpus(800, base_seed=175_000):
+        if g.m > 16 or not is_2vertex_connected(g):
+            continue
+        core = min_degree2_subgraph(g)
+        assert degrees_ok(g.n, core)
+        # Any superset of a valid edge set is valid, so a valid set smaller
+        # than the core would extend to one of exactly len(core) - 1 edges.
+        assert not any(degrees_ok(g.n, sub) for sub in combinations(g.edges, len(core) - 1))
+        checked += 1
+        trimmed += len(core) < g.m
+    assert checked > 30 and trimmed > 20
+
+
+def test_budget_flow_augmentations_are_pinned(monkeypatch):
+    # Exact counts, free of timing noise: the augmentations left to
+    # Edmonds-Karp after the greedy seed.
+    flows = []
+    max_flow = FlowNetwork.max_flow
+
+    def spy(self, s, t, limit):
+        result = max_flow(self, s, t, limit)
+        flows.append(result[0])
+        return result
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", spy)
+    # Ten bidirected 4-cliques glued in a chain and nothing else: the seed
+    # saturates every budget of every piece.
+    chain = gen_random(GenSpec(n=31, m=120, model="planted", seed=176_000, sizes=(4,) * 10))
+    comps = two_vccs(chain)
+    assert len(comps) == 10
+    for comp in comps:
+        min_degree2_subgraph(induced_subgraph(chain, comp))
+    assert flows == [0] * 10
+    flows.clear()
+    g = clique_cycle(174_000)
+    (comp,) = two_vccs(g)
+    min_degree2_subgraph(induced_subgraph(g, comp))
+    assert flows == [20]
 
 
 def test_approx_2vcss(tri, k4b):
