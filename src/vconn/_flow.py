@@ -1,46 +1,71 @@
-"""Max-flow (Edmonds-Karp) and the vertex-split network on which every
-vertex-disjoint-path question of the package is answered.
+"""Menger flows on a graph's own adjacency, and the Edmonds-Karp flow of
+the degree-2 core's budget network.
 
-This module alone knows the split network's layout: ``split_network``
-builds it, ``edge_arc`` names an edge's arc in it, and
-``_min_st_vertex_cut`` counts internally vertex-disjoint s->t paths on it
-with one flow capped at a limit (Menger).  The k-VCC split and the
-sparsifier's deletion test both ask that one function.  A flow that stops
-below its limit ends with a failed search, and that search has labelled
-exactly the nodes reachable from the source in the residual network.
-``max_flow`` returns the labels of its last search with the flow, so the
-separator is read from them without another pass.
+Every vertex-disjoint-path question of the package is answered by
+``_min_st_vertex_cut``: it counts internally vertex-disjoint s->t paths up
+to a limit (Menger) and, below the limit, returns the separator closest
+to s.  The k-VCC split and the sparsifier's deletion test both ask that
+one function.
 
-Each search of ``max_flow`` stops as soon as it labels t.  An arc into a
-node is recorded once, at the node's first label, so stopping there
-changes no augmenting path; only a successful search is cut short, and a
-successful search is never read for a separator.  The labelled set of the
-failed search is the set of nodes reachable from the source in the
-residual network of a maximum flow, and that set is the same for every
-maximum flow (it is the source side of the unique minimal minimum cut).
-So a faster kernel, such as Dinic's or a greedily seeded flow, returns the
-same separators as long as it ends with a full residual search.
+It runs Edmonds-Karp on Even's vertex-split network ("An algorithm for
+determining whether the connectivity of a graph is at least k", SIAM J.
+Comput. 1975) without building it.  Vertex v splits into an in-node and
+an out-node joined by a vertex arc of capacity 1; edge u->v becomes an
+edge arc from u's out-node to v's in-node of capacity n+1; the flow runs
+from s's out-node to t's in-node.  Each search walks the residual network
+over (vertex, in/out) states, and the whole flow is one array:
+``into[v]`` is the tail of the flow edge entering an interior vertex v on
+a path, or -1 when no path uses v.  That array determines every residual
+capacity:
 
-``max_flow`` pushes exactly one unit along each augmenting path.  That
-yields a maximum flow on any network with integral capacities.  On the
-networks of this package every augmenting path has bottleneck 1 anyway, so
-a bottleneck walk would find nothing more to push:
+* an edge arc carries at most one unit (its head's in-node passes on at
+  most one), so it always has residual capacity: every out-edge of v is
+  a residual arc of v's out-node;
+* v's in-node passes at most one unit, so its only residual arc is the
+  vertex arc when v is unused, or else the reverse of the one flow edge,
+  into v's out-node of ``into[v]``;
+* v's out-node also has the reverse of its vertex arc, into v's in-node,
+  when v is used; it comes first, as it did in the built network, whose
+  out-node listed its vertex arc's reverse before its edge arcs.
 
-* split network: ``_min_st_vertex_cut`` forbids an s->t arc of positive
-  base capacity, so a path leaves s's out-node into the in-node of some
-  x != t.  Its next arc is x's vertex arc, of capacity 1, or the residual
-  of an edge arc into x, which is at most 1 because x's in-node passes on
-  at most one unit.
-* ``sparsify.min_degree2_subgraph`` builds its own bipartite network on
-  ``FlowNetwork``: every source->sink path crosses an edge arc of capacity
-  1 or the residual of one.  It seeds the flow greedily before calling
-  ``max_flow``, but a seeded unit is one length-3 path s->u->v'->t, so
-  each edge arc still carries 0 or 1 and bottleneck 1 still holds.
+So each search reaches every residual arc the network would offer, in the
+same order, and skips only arcs of capacity 0.  It never scans the
+in-degree's worth of dead reverse edge arcs an in-node has in the built
+network, and no network is built, reset or zeroed per call.  Since every
+in-node has exactly one residual arc, a search follows it as soon as it
+labels the in-node; the out-nodes then enter the queue in the order the
+node-by-node search would enqueue them.
+
+Every augmenting path has bottleneck 1: it leaves s's out-node into the
+in-node of some x != t (the caller guarantees no edge s->t), and its next
+arc is x's vertex arc or the reverse of the one flow edge into x, each of
+residual capacity 1.  So one unit per path is a maximum flow.
+
+A search stops as soon as it labels t.  A node's predecessor is recorded
+once, at its first label, so stopping there changes no augmenting path;
+only a successful search is cut short, and a successful search is never
+read for a separator.  A flow below its limit ends with a failed search,
+and that search has labelled exactly the nodes reachable from the source
+in the residual network of a maximum flow.  That set is the same for
+every maximum flow (it is the source side of the unique minimal minimum
+cut), so the count and the separator depend on the graph alone: a faster
+kernel returns the same answers as long as it ends with a full residual
+search.
+
+``FlowNetwork`` is a general capacitated network with Edmonds-Karp
+``max_flow``, pushing one unit per augmenting path and returning the
+labels of its last search with the flow (the kernel's tests read a built
+split network's separators from them).  Only
+``sparsify.min_degree2_subgraph`` builds one, for its bipartite budget
+network: every source->sink path there crosses an edge arc of capacity 1
+or the residual of one.  It seeds the flow greedily before calling
+``max_flow``, but a seeded unit is one length-3 path s->u->v'->t, so each
+edge arc still carries 0 or 1 and bottleneck 1 still holds.
 """
 
 from __future__ import annotations
 
-from .graph import DiGraph
+from collections.abc import Sequence
 
 
 class FlowNetwork:
@@ -96,50 +121,62 @@ class FlowNetwork:
         return flow, prev_arc
 
 
-def split_network(g: DiGraph) -> tuple[FlowNetwork, list[int]]:
-    """The vertex-split network of g and its base capacities.
-
-    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by arc 2v of
-    unit capacity; edge i of ``g.edges`` becomes arc ``edge_arc(g.n, i)``,
-    from its tail's out-node to its head's in-node, of effectively
-    infinite capacity n+1.  A flow from u's out-node to v's in-node counts
-    internally vertex-disjoint u->v paths.
-    """
-    n = g.n
-    net = FlowNetwork(2 * n)
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u in range(n):
-        for w in g.out_adj[u]:
-            net.add_edge(2 * u + 1, 2 * w, n + 1)
-    return net, list(net.cap)
-
-
-def edge_arc(n: int, i: int) -> int:
-    """The arc of edge i of ``g.edges`` in the split network of a graph g
-    with n vertices: ``split_network`` adds the edges in that order, after
-    the n vertex arcs."""
-    return 2 * (n + i)
-
-
 def _min_st_vertex_cut(
-    net: FlowNetwork, base: list[int], s: int, t: int, limit: int
+    out_adj: Sequence[Sequence[int]], s: int, t: int, limit: int
 ) -> tuple[int, tuple[int, ...] | None]:
-    """Fewest vertices (excluding s, t) meeting every s->t path in the
-    split network ``net`` with capacities ``base``, counted up to ``limit``.
+    """Fewest vertices (excluding s, t) meeting every s->t path of the
+    graph with out-adjacency ``out_adj``, counted up to ``limit``.
 
     Returns the count and, when it is below ``limit``, those vertices in
-    ascending order.  Requires no s->t arc of positive base capacity.  The
-    flow runs from s's out-node to t's in-node, so no augmenting path uses
-    the arc of s or of t, and neither is ever in the cut.  A flow below
-    ``limit`` ended with a failed search, whose labelled nodes are the
-    source side of a minimum cut; the cut is the vertices whose in-node
-    that search reached and whose out-node it did not.
+    ascending order.  Requires s != t and no edge s->t.  The flow runs
+    from s's out-node to t's in-node (see the module docstring), so no
+    augmenting path uses s or t as an interior vertex, and neither is ever
+    in the cut.  A flow below ``limit`` ended with a failed search, whose
+    labelled nodes are the source side of a minimum cut; the cut is the
+    vertices whose in-node that search reached and whose out-node it did
+    not.
     """
-    net.cap[:] = base
-    value, label = net.max_flow(2 * s + 1, 2 * t, limit)
-    if value >= limit:
-        return value, None
-    return value, tuple(
-        v for v, (a, b) in enumerate(zip(label[0::2], label[1::2])) if a != -1 and b == -1
-    )
+    n = len(out_adj)
+    into = [-1] * n
+    flow = 0
+    while flow < limit:
+        # via_in[v]: the out-node's vertex whose arc labelled v's in-node,
+        # v itself for v's reversed vertex arc.  via_out[v]: the in-node's
+        # vertex whose one residual arc labelled v's out-node.
+        via_in = [-1] * n
+        via_out = [-1] * n
+        via_out[s] = s
+        queue = [s]
+        for u in queue:
+            x = into[u]
+            if x >= 0 and via_in[u] < 0:
+                via_in[u] = u
+                if via_out[x] < 0:
+                    via_out[x] = u
+                    queue.append(x)
+            for w in out_adj[u]:
+                if via_in[w] < 0:
+                    via_in[w] = u
+                    if w == t:
+                        break
+                    x = into[w]
+                    if x < 0:
+                        x = w
+                    if via_out[x] < 0:
+                        via_out[x] = w
+                        queue.append(x)
+            else:
+                continue
+            break  # t is labelled
+        else:  # the queue ran dry without labelling t
+            return flow, tuple(
+                v for v, (a, b) in enumerate(zip(via_in, via_out)) if a >= 0 and b < 0
+            )
+        # Walk the path back from t, out-node u to the in-node w before it.
+        u = via_in[t]
+        while u != s:
+            w = via_out[u]
+            u = via_in[w]
+            into[w] = -1 if u == w else u
+        flow += 1
+    return flow, None

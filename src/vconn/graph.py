@@ -234,5 +234,6 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
 def format_edge_list(g: DiGraph) -> str:
     """Serialise g in the edge-list interchange format."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    # g.edges is sorted: every DiGraph keeps its rows sorted.
+    lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 """Minimum vertex cuts, vertex connectivity, 3-vertex-connected
 components, and the k-vertex-connected-component split loop.
 
-Vertex cuts come from ``_flow._min_st_vertex_cut``: a flow capped at a
-limit on the vertex-split network, built once per graph by
-``_flow.split_network`` and reset for each vertex pair, which returns the
-separator of a pair that has one below the limit.  This module never
-looks inside the network.  Which pairs are tried is the whole question,
-and two searches answer it.
+Vertex cuts come from ``_flow._min_st_vertex_cut``: a Menger flow capped
+at a limit, run on the piece's own ``out_adj`` (Even's vertex-split
+network searched implicitly, with no network built per piece or reset per
+pair), which returns the separator closest to the source of a pair that
+has one below the limit.  Its count and separator depend on the graph and
+the pair alone (see the ``_flow`` docstring), so this module never looks
+inside the flow.  Which pairs are tried is the whole question, and two
+searches answer it.
 
 *One source* (Esfahanian and Hakimi, "On computing the connectivity of
 graphs and digraphs", Networks 1984).  Lemma: let X be a minimum set
@@ -62,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ._flow import _min_st_vertex_cut, split_network
+from ._flow import _min_st_vertex_cut
 from .connectivity import _strong_pieces, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
@@ -117,10 +119,9 @@ def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
     """Vertex connectivity kappa of a strongly connected, non-complete
     graph and a minimum cut: the separator of the first one-source pair
     whose flow, capped at the best value so far, falls below it."""
-    net, base = split_network(g)
     best, cut = g.n - 1, ()
     for a, b in _one_source_pairs(g, _least_degree_vertex(g)):
-        value, sep = _min_st_vertex_cut(net, base, a, b, best)
+        value, sep = _min_st_vertex_cut(g.out_adj, a, b, best)
         if sep is not None:
             best, cut = value, sep
     return best, cut
@@ -131,7 +132,6 @@ def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
     not strongly connected, or None if there is none: the separator of the
     first pair whose flow, stopped at value k, stays below k, over the
     one-source pairs or the sweep's, whichever bound is smaller."""
-    net, base = split_network(g)
     v = _least_degree_vertex(g)
     if len(g.out_adj[v]) * len(g.in_adj[v]) <= 2 * (k - 1) * (g.n - 1):
         pairs = _one_source_pairs(g, v)
@@ -139,7 +139,7 @@ def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
         # Even's sweep; the rule gives n - 1 > 2(k - 1), so k < n.
         pairs = ((a, b) for s in range(k) for a, b in _source_pairs(g, s) if max(a, b) > s)
     for a, b in pairs:
-        _, cut = _min_st_vertex_cut(net, base, a, b, k)
+        _, cut = _min_st_vertex_cut(g.out_adj, a, b, k)
         if cut is not None:
             return cut
     return None

@@ -17,10 +17,13 @@ internally vertex-disjoint u->v paths.  A set X of at most one vertex
 that disconnects D - e contains neither u nor v (else D - e - X = D - X,
 which is strongly connected), so D - X - e has no u->v path (else adding
 e back could not make it strongly connected), and X meets every u->v path
-of D - e; the converse is Menger's theorem.  So one flow capped at 2 on
-the vertex-split network decides each deletion, provided the graph
-before it is 2-vertex-connected, which every accepted deletion
-preserves.  The
+of D - e; the converse is Menger's theorem.  So one Menger flow capped at
+2 (``_flow._min_st_vertex_cut``) decides each deletion, provided the
+graph before it is 2-vertex-connected, which every accepted deletion
+preserves.  The flow runs on the current edge set's own adjacency: the
+loop keeps one mutable copy of the component's rows, removes the
+candidate from its tail's row for the test and puts it back in place on
+a reject, so the flow sees exactly D - e.  The
 strong-connectivity part of problem 2 is handled on the coarsened graph by
 a union of two arborescences pruned to deletion-minimality, which is at
 most twice the optimum (weaker than the best published ratio, but simple
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._flow import FlowNetwork, _min_st_vertex_cut, edge_arc, split_network
+from ._flow import FlowNetwork, _min_st_vertex_cut
 from .articulation import is_2vertex_connected
 from .connectivity import _scc_ids, is_strongly_connected
 from .errors import NotStronglyConnected, NotTwoVertexConnected
@@ -190,14 +193,14 @@ def _edge_set_strongly_connected(n: int, edges) -> bool:
     return _scc_ids(n, adj)[1] == 1
 
 
-def _edge_set_is_2vc(net: FlowNetwork, base: list[int], u: int, v: int) -> bool:
+def _edge_set_is_2vc(out_adj: list[list[int]], u: int, v: int) -> bool:
     """Whether a 2-vertex-connected graph stays so without its edge (u, v).
 
-    ``base`` holds the capacities of the graph's split network with the
-    arc of (u, v) already zeroed; by the lemma in the module docstring the
-    answer is whether two internally vertex-disjoint u->v paths remain.
+    ``out_adj`` holds the graph's rows with v already removed from row u;
+    by the lemma in the module docstring the answer is whether two
+    internally vertex-disjoint u->v paths remain.
     """
-    return _min_st_vertex_cut(net, base, u, v, 2)[0] == 2
+    return _min_st_vertex_cut(out_adj, u, v, 2)[0] == 2
 
 
 def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
@@ -210,21 +213,21 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
 
     g must be 2-vertex-connected (``min_degree2_subgraph`` checks it), and
     each accepted deletion keeps it so; that is the precondition under
-    which one capped flow on g's split network, built once, decides each
-    deletion exactly (see the module docstring).
+    which one capped flow on the kept edges decides each deletion exactly
+    (see the module docstring).
     """
     core = set(min_degree2_subgraph(g))
-    net, base = split_network(g)
-    # g.edges is sorted, so the scan below runs in descending (u, v) order.
-    candidates = [(e, edge_arc(g.n, i)) for i, e in enumerate(g.edges) if e not in core]
-    deleted: set[Edge] = set()
-    for e, a in reversed(candidates):
-        capacity, base[a] = base[a], 0
-        if _edge_set_is_2vc(net, base, *e):
-            deleted.add(e)
-        else:
-            base[a] = capacity
-    return tuple(e for e in g.edges if e not in deleted)
+    out_adj = [list(row) for row in g.out_adj]
+    # g.edges is sorted, so this scan runs in descending (u, v) order.
+    for u, v in reversed(g.edges):
+        if (u, v) in core:
+            continue
+        row = out_adj[u]
+        i = row.index(v)
+        del row[i]
+        if not _edge_set_is_2vc(out_adj, u, v):
+            row.insert(i, v)
+    return tuple((u, v) for u, row in enumerate(out_adj) for v in row)
 
 
 def _dfs_tree(adj) -> list[Edge]:

@@ -334,10 +334,10 @@ def test_deletion_loop_builds_one_split_network(monkeypatch):
     kept = approx_2vcss(g)
     monkeypatch.undo()
     assert len(kept) < g.m
-    # The guard of min_degree2_subgraph; then the degree-2 core's network
-    # and the split network that every deletion test reuses.
+    # The guard of min_degree2_subgraph; then the degree-2 core's network.
+    # The deletion tests build none: they search the kept edges' rows.
     assert calls["is_2vc"] == 1
-    assert calls["networks"] <= 2
+    assert calls["networks"] == 1
 
 
 def test_certificate_catches_a_deletion_test_that_accepts_everything(monkeypatch):

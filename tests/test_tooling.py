@@ -54,10 +54,11 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
 
 
 def test_only_the_flow_module_runs_split_network_flows():
-    # Every vertex-disjoint-path question goes through
-    # ``_flow._min_st_vertex_cut``, so the flow algorithm and its counters
-    # change in one module.  ``min_degree2_subgraph`` runs its own
-    # bipartite network.
+    # ``FlowNetwork.max_flow`` runs only the degree-2 core's budget
+    # network, which ``min_degree2_subgraph`` builds; every
+    # vertex-disjoint-path question goes through ``_flow._min_st_vertex_cut``
+    # on the graph's own adjacency, so no other module runs a flow of its
+    # own.
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -110,3 +111,39 @@ def test_one_pair_loop_per_question():
             and not (path.name == "kvcc.py" and inside.get(node) in allowed[name])
         ]
     assert found == []
+
+
+def _calls_by_function(name):
+    """(module file, enclosing top-level function) of every call of ``name``
+    in the library, as a plain or attribute call."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inside = {
+            node: fn.name
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        found += [
+            (path.name, inside.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == name)
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+            )
+        ]
+    return found
+
+
+def test_one_vertex_cut_kernel_and_one_flow_network():
+    # Every vertex cut comes from one Menger flow on the graph's own
+    # adjacency; a second vertex-cut kernel, or a split network built on
+    # ``FlowNetwork``, would duplicate it.
+    assert set(_calls_by_function("FlowNetwork")) == {("sparsify.py", "min_degree2_subgraph")}
+    assert set(_calls_by_function("_min_st_vertex_cut")) == {
+        ("kvcc.py", "_global_min_cut"),
+        ("kvcc.py", "_cut_below"),
+        ("sparsify.py", "_edge_set_is_2vc"),
+    }

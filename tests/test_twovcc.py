@@ -231,3 +231,50 @@ def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie)
     assert [two_vccs_domtree(g) for g in graphs] == expected
     assert calls["split"] == 0
     assert calls["trees"] == 2 * calls["tests"] > 0
+
+
+def _metamorphic_graphs():
+    # Uniform m=4n graphs (one giant component), chains of 4-cliques with a
+    # few noise edges (many small components) and one chain closed by a
+    # spanning cycle (one giant component), above oracle size.
+    for i, n in enumerate((200, 300, 400)):
+        yield gen_random(GenSpec(n=n, m=4 * n, seed=182_000 + i, strongly_connected=True))
+    for i, count in enumerate((70, 100, 130)):
+        n = 3 * count + 1
+        yield gen_random(GenSpec(n=n, m=4 * count * 3 + 5 * (i + 1), model="planted",
+                                 seed=182_100 + i, sizes=(4,) * count,
+                                 strongly_connected=i == 2))
+
+
+def test_two_vccs_metamorphic_above_oracle_size():
+    rng = random.Random(182_200)
+    grown = 0
+    for g in _metamorphic_graphs():
+        comps = two_vccs(g)
+        assert comps, g
+        # Relabelling commutes with two_vccs.
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert two_vccs(relabelled) == sorted(tuple(sorted(perm[v] for v in c)) for c in comps)
+        # Each component is 2-vertex-connected on its own.
+        for c in comps:
+            assert is_2vertex_connected(induced_subgraph(g, c)), c
+        # Adding an edge never splits a component: each old one lies inside
+        # a new one.  Edges go in both ways, one at a time, so some merge
+        # components.
+        h, before = g, comps
+        for _ in range(4):
+            u, v = rng.sample(range(g.n), 2)
+            for e in ((u, v), (v, u)):
+                h = from_edge_list(g.n, [*h.edges, e])
+                after = two_vccs(h)
+                grown += after != before
+                holding = {}
+                for d in after:
+                    for x in d:
+                        holding.setdefault(x, []).append(set(d))
+                for c in before:
+                    assert any(set(c) <= d for d in holding[c[0]]), (e, c)
+                before = after
+    assert grown >= 10  # some added edges do change the components
