@@ -89,13 +89,16 @@ def _scc_ids(
 
 
 def _group_components(n: int, comp: Sequence[int]) -> list[list[int]]:
-    """Group vertices by component id, skipping deleted vertices (-1)."""
+    """Group vertices by component id, skipping deleted vertices (-1).
+
+    Each group is in ascending order, as the scan fills it by ascending v.
+    """
     buckets: dict[int, list[int]] = {}
     for v in range(n):
         c = comp[v]
         if c >= 0:
             buckets.setdefault(c, []).append(v)
-    return [sorted(b) for b in buckets.values()]
+    return list(buckets.values())
 
 
 def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:

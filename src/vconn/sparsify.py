@@ -10,27 +10,32 @@ Three nested problems are solved:
 Edges outside the components are irrelevant for problem 1, so it splits
 into independent per-component subproblems: a minimum subgraph with in-
 and out-degree >= 2 everywhere (computed exactly by a deletion flow),
-re-augmented to 2-vertex-connectivity by deletion-minimalisation.  Each
-deletion is tested locally.  If D is 2-vertex-connected and e = (u, v) is
-an edge of D, then D - e is 2-vertex-connected iff D - e has two
-internally vertex-disjoint u->v paths.  A set X of at most one vertex
-that disconnects D - e contains neither u nor v (else D - e - X = D - X,
-which is strongly connected), so D - X - e has no u->v path (else adding
-e back could not make it strongly connected), and X meets every u->v path
-of D - e; the converse is Menger's theorem.  So one Menger flow capped at
-2 (``_flow._min_st_vertex_cut``) decides each deletion, provided the
-graph before it is 2-vertex-connected, which every accepted deletion
-preserves.  The flow runs on the current edge set's own adjacency: the
-loop keeps one mutable copy of the component's rows, removes the
-candidate from its tail's row for the test and puts it back in place on
-a reject, so the flow sees exactly D - e.  The
+re-augmented to 2-vertex-connectivity by deletion-minimalisation.  The
 strong-connectivity part of problem 2 is handled on the coarsened graph by
 a union of two arborescences pruned to deletion-minimality, which is at
 most twice the optimum (weaker than the best published ratio, but simple
-and certifiable).  Every result carries a recomputed certificate so that
-validity never rests on the construction being right: the components are
-built with ``two_vccs_domtree`` once per graph and the certificates are
-recomputed once each with ``two_vccs_split``, a different engine.
+and certifiable).
+
+Both prunings are one loop, ``_prune``, and each deletion is tested
+locally by one lemma, for k = 2 and k = 1.  If D is k-vertex-connected
+(strongly connected for k = 1) and e = (u, v) is an edge of D, then D - e
+is k-vertex-connected iff D - e has k internally vertex-disjoint u->v
+paths.  A set X of fewer than k vertices that disconnects D - e contains
+neither u nor v (else D - e - X = D - X, which is strongly connected), so
+D - X - e has no u->v path (else adding e back could not make it strongly
+connected), and X meets every u->v path of D - e; the converse is
+Menger's theorem.  So one Menger flow capped at k
+(``_flow._min_st_vertex_cut``) decides each deletion, provided the graph
+before it is k-vertex-connected, which every accepted deletion preserves.
+The flow runs on the current edge set's own adjacency: the loop keeps one
+mutable copy of the rows, scans the candidates in descending (u, v)
+order, removes each from its tail's row for the test and puts it back in
+place on a reject, so the flow sees exactly D - e.
+
+Every result carries a recomputed certificate so that validity never
+rests on the construction being right: the components are built with
+``two_vccs_domtree`` once per graph and the certificates are recomputed
+once each with ``two_vccs_split``, a different engine.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 from ._flow import FlowNetwork, _min_st_vertex_cut
 from .articulation import is_2vertex_connected
-from .connectivity import _scc_ids, is_strongly_connected
+from .connectivity import is_strongly_connected
 from .errors import NotStronglyConnected, NotTwoVertexConnected
 from .graph import DiGraph, Edge, induced_subgraph, strip_labels
 from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
@@ -183,24 +188,45 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     return tuple(e for e, arc in zip(edges, edge_arcs) if cap[arc] > 0)
 
 
-def _edge_set_strongly_connected(n: int, edges) -> bool:
-    """Whether vertices 0..n-1 (n >= 1) with these edges are strongly
-    connected; the pruning loop of ``approx_mscss`` asks this of a bare
-    edge set, without building a DiGraph each time."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-    return _scc_ids(n, adj)[1] == 1
+def _prune(rows: list[list[int]], edges, still_ok, keep=()) -> tuple[Edge, ...]:
+    """Delete from the graph with out-adjacency ``rows`` every edge of
+    ``edges`` outside ``keep`` whose removal ``still_ok(rows, u, v)``
+    accepts; returns the kept edges in ascending order.
+
+    ``edges`` is ascending and the scan runs it backwards, in descending
+    (u, v) order.  Each candidate leaves its tail's row for the test and
+    goes back to the same place on a reject, so the test sees exactly the
+    current edge set minus (u, v).
+    """
+    for u, v in reversed(edges):
+        if (u, v) in keep:
+            continue
+        row = rows[u]
+        i = row.index(v)
+        del row[i]
+        if not still_ok(rows, u, v):
+            row.insert(i, v)
+    return tuple((u, v) for u, row in enumerate(rows) for v in row)
 
 
 def _edge_set_is_2vc(out_adj: list[list[int]], u: int, v: int) -> bool:
     """Whether a 2-vertex-connected graph stays so without its edge (u, v).
 
     ``out_adj`` holds the graph's rows with v already removed from row u;
-    by the lemma in the module docstring the answer is whether two
+    by the lemma in the module docstring (k = 2) the answer is whether two
     internally vertex-disjoint u->v paths remain.
     """
     return _min_st_vertex_cut(out_adj, u, v, 2)[0] == 2
+
+
+def _edge_set_is_strongly_connected(out_adj: list[list[int]], u: int, v: int) -> bool:
+    """Whether a strongly connected graph stays so without its edge (u, v).
+
+    ``out_adj`` holds the graph's rows with v already removed from row u;
+    by the lemma in the module docstring (k = 1) the answer is whether a
+    u->v path remains.
+    """
+    return _min_st_vertex_cut(out_adj, u, v, 1)[0] == 1
 
 
 def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
@@ -217,17 +243,7 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     (see the module docstring).
     """
     core = set(min_degree2_subgraph(g))
-    out_adj = [list(row) for row in g.out_adj]
-    # g.edges is sorted, so this scan runs in descending (u, v) order.
-    for u, v in reversed(g.edges):
-        if (u, v) in core:
-            continue
-        row = out_adj[u]
-        i = row.index(v)
-        del row[i]
-        if not _edge_set_is_2vc(out_adj, u, v):
-            row.insert(i, v)
-    return tuple((u, v) for u, row in enumerate(out_adj) for v in row)
+    return _prune([list(row) for row in g.out_adj], g.edges, _edge_set_is_2vc, core)
 
 
 def _dfs_tree(adj) -> list[Edge]:
@@ -254,24 +270,25 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
 
     Union of an out-arborescence and an in-arborescence rooted at vertex 0
     (at most 2n-2 edges; any strongly connected subgraph needs n), pruned
-    to deletion-minimality in descending (u, v) order.
+    to deletion-minimality in descending (u, v) order.  The union is
+    strongly connected and each accepted deletion keeps it so, so by the
+    lemma in the module docstring (k = 1) an edge (u, v) goes exactly when
+    a u->v path remains without it: one flow capped at 1 on the kept
+    edges' rows.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    n = g.n
-    if n == 1:
-        return ()
     # The out-arborescence explores ascending neighbours first and the
     # in-arborescence, along reversed edges, descending ones: the opposite
     # orientation lets the two trees share cycle edges instead of doubling
     # them.
-    kept = set(_dfs_tree([row[::-1] for row in g.out_adj]))
-    kept.update((u, p) for p, u in _dfs_tree(g.in_adj))
-    for e in sorted(kept, reverse=True):
-        kept.discard(e)
-        if not _edge_set_strongly_connected(n, kept):
-            kept.add(e)
-    return tuple(sorted(kept))
+    union = set(_dfs_tree([row[::-1] for row in g.out_adj]))
+    union.update((u, p) for p, u in _dfs_tree(g.in_adj))
+    edges = sorted(union)
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in edges:
+        rows[u].append(v)
+    return _prune(rows, edges, _edge_set_is_strongly_connected)
 
 
 def _retain_components(

@@ -330,9 +330,9 @@ def gen_random(spec: GenSpec) -> DiGraph:
 
     ``uniform`` samples distinct ordered pairs until the edge target is
     met, first laying down a random spanning cycle when strong
-    connectivity is requested.  ``planted`` chains bidirected cliques of
-    the requested sizes, consecutive cliques glued at one shared vertex,
-    then tops up with noise edges.
+    connectivity is requested; it takes no ``sizes``.  ``planted`` chains
+    bidirected cliques of the requested sizes, consecutive cliques glued
+    at one shared vertex, then tops up with noise edges.
     """
     if spec.n < 1:
         raise InvalidSpec(f"n must be >= 1, got {spec.n}")
@@ -345,7 +345,8 @@ def gen_random(spec: GenSpec) -> DiGraph:
     rng = random.Random(spec.seed)
     edges: set[Edge] = set()
     if spec.model == "uniform":
-        pass
+        if spec.sizes is not None:
+            raise InvalidSpec("uniform model takes no component sizes")
     elif spec.model == "planted":
         if not spec.sizes:
             raise InvalidSpec("planted model needs component sizes")

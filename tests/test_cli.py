@@ -141,6 +141,13 @@ def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_gen_uniform_rejects_sizes(capsys):
+    assert run(["gen", "-n", "5", "-m", "3", "--sizes", "2,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidSpec: uniform model takes no component sizes\n"
+
+
 def test_bench_rejects_a_density_whose_edge_count_overflows():
     with pytest.raises(InvalidSpec, match="no finite edge count"):
         bench([20], ["split"], 1, density=1e308)

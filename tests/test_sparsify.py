@@ -194,6 +194,93 @@ def test_approx_mscss_bound_and_validity():
     assert count > 40
 
 
+def _arborescence_union(g):
+    from vconn.sparsify import _dfs_tree
+
+    union = set(_dfs_tree([row[::-1] for row in g.out_adj]))
+    union.update((u, p) for p, u in _dfs_tree(g.in_adj))
+    return union
+
+
+def _set_and_tarjan_mscss(g):
+    """Reference pruning: the arborescence union as a set, and one full
+    Tarjan pass over a freshly built adjacency per deletion."""
+    from vconn.connectivity import _scc_ids
+
+    if g.n == 1:
+        return ()
+    kept = _arborescence_union(g)
+    for e in sorted(kept, reverse=True):
+        kept.discard(e)
+        adj = [[] for _ in range(g.n)]
+        for u, v in kept:
+            adj[u].append(v)
+        if _scc_ids(g.n, adj)[1] != 1:
+            kept.add(e)
+    return tuple(sorted(kept))
+
+
+def _strongly_connected_corpus():
+    graphs = [from_edge_list(1, []), from_edge_list(2, [(0, 1), (1, 0)])]
+    for i in range(60):
+        n = 10 + i % 30
+        m = n * (2 + i % 3)
+        graphs.append(gen_random(GenSpec(n=n, m=m, seed=174_000 + i, strongly_connected=True)))
+    for i in range(40):
+        n = 6 + i % 8
+        m = n * (n - 1) * 3 // 4
+        graphs.append(gen_random(GenSpec(n=n, m=m, seed=175_000 + i, strongly_connected=True)))
+    for i in range(40):
+        size = 3 + i % 3
+        count = 3 + i % 5
+        n = count * (size - 1) + 1
+        graphs.append(gen_random(GenSpec(n=n, m=n * (size - 1) + 5 + i % 7, model="planted",
+                                         seed=176_000 + i, sizes=(size,) * count,
+                                         strongly_connected=True)))
+    for i in range(60):
+        n = 20 + i % 40
+        m = (3 + i % 2) * n  # m = 3n rarely merges components, m = 4n mostly does
+        g = gen_random(GenSpec(n=n, m=m, seed=177_000 + i, strongly_connected=True))
+        graphs.append(coarsen(g).graph)
+    return graphs
+
+
+def test_approx_mscss_matches_the_set_and_tarjan_loop():
+    graphs = _strongly_connected_corpus()
+    assert len(graphs) >= 200
+    pruned = 0
+    for g in graphs:
+        kept = approx_mscss(g)
+        assert kept == _set_and_tarjan_mscss(g)
+        pruned += len(kept) < len(_arborescence_union(g))
+    assert {g.n for g in graphs} >= {1, 2}
+    coarse_sizes = [coarse.n for coarse in graphs[-60:]]
+    assert sum(n <= 10 for n in coarse_sizes) > 20 and sum(n > 20 for n in coarse_sizes) > 20
+    assert pruned > 100
+
+
+def test_approx_mscss_runs_one_scc_pass(monkeypatch):
+    import sys
+
+    from vconn.connectivity import _scc_ids
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return _scc_ids(*args, **kwargs)
+
+    # Every module that imported the SCC pass calls it through its own binding.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vconn.") and getattr(module, "_scc_ids", None) is _scc_ids:
+            monkeypatch.setattr(module, "_scc_ids", spy)
+    for g in _strongly_connected_corpus()[::10]:
+        calls.clear()
+        kept = approx_mscss(g)
+        # The strong-connectivity guard; every deletion is one capped flow.
+        assert calls == [g.n], (g, kept)
+
+
 def test_problem1_examples(fig1, c3, bowtie):
     assert sparsify_problem1(fig1).size == 14
     assert sparsify_problem1(c3).size == 0

@@ -84,6 +84,8 @@ def test_gen_single_vertex_and_errors():
         gen_random(GenSpec(n=4, m=0, model="planted", sizes=(3, 3)))
     with pytest.raises(InvalidSpec):
         gen_random(GenSpec(n=3, m=0, model="nope"))
+    with pytest.raises(InvalidSpec, match="uniform model takes no component sizes"):
+        gen_random(GenSpec(n=5, m=3, sizes=(2, 2)))
 
 
 def test_gen_sizes_are_capped(monkeypatch):

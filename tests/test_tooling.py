@@ -1,6 +1,7 @@
 """Checks on the library's source tree itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vconn"
@@ -146,4 +147,38 @@ def test_one_vertex_cut_kernel_and_one_flow_network():
         ("kvcc.py", "_global_min_cut"),
         ("kvcc.py", "_cut_below"),
         ("sparsify.py", "_edge_set_is_2vc"),
+        ("sparsify.py", "_edge_set_is_strongly_connected"),
     }
+
+
+def test_every_traced_layer_resolves_and_only_the_cli_prints():
+    # The benchmark's tracer wraps layers by (module, qualified name) and
+    # drops the metrics of a name that no longer resolves; the benchmark
+    # reads its result from the last stdout line, which a library print
+    # would displace.  Its target list is read without importing it.
+    tracer = SRC.parents[1] / "perfbench" / "tracer.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert len(targets) >= 17
+    unresolved = []
+    for prefix, module_name, qualname in targets:
+        obj = importlib.import_module(module_name)
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        if not (module_name.startswith("vconn.") and callable(obj)):
+            unresolved.append(prefix)
+    assert unresolved == []
+    printing = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+    assert printing == []
