@@ -42,6 +42,10 @@ def test_vertex_connectivity_examples(bowtie, k4b, c4b):
     assert vertex_connectivity(bowtie) == 1
     assert vertex_connectivity(k4b) == 3  # complete graph convention n-1
     assert vertex_connectivity(c4b) == 2
+    # No pair is non-adjacent, so the one-source search runs no flow.
+    assert vertex_connectivity(from_edge_list(1, [])) == 0
+    for n in (2, 5):
+        assert vertex_connectivity(from_edge_list(n, bidirected(combinations(range(n), 2)))) == n - 1
 
 
 def test_vertex_connectivity_requires_strong(fig1):
@@ -338,11 +342,20 @@ def test_one_source_search_bounds_the_flows(monkeypatch, spec):
         assert all(s != t and t not in g.out_adj[s] for s, t in pairs)
 
 
-def test_dense_pieces_take_the_sweep(monkeypatch):
-    # Circulant i -> i+1..i+d (mod 30) is d-connected, and every vertex has
-    # in-degree x out-degree d*d.  With d = 12 that passes 2(k-1)(n-1) = 116
-    # at k = 3, so the sweep of sources 0..2 is tried; with d = 10 it does
-    # not, so the one-source pairs are.
+def _two_step_paths(g, a, b):
+    """The vertices z with edges a -> z -> b."""
+    return set(g.out_adj[a]) & set(g.in_adj[b])
+
+
+# Flows of is_k_vertex_connected(g, 3) on the d-circulants below, exact and
+# free of timing noise: they guard the two-step rule on dense pieces.
+CIRCULANT_FLOWS = {12: 17, 10: 25}
+
+
+def test_dense_pieces_flow_only_pairs_with_few_two_step_paths(monkeypatch):
+    # Circulant i -> i+1..i+d (mod 30) is d-connected, and most of its
+    # one-source pairs (a, b) have 3 or more vertices z with a -> z -> b,
+    # which settle the pair at k = 3 without a flow.
     pairs = []
     real = vconn.kvcc._min_st_vertex_cut
 
@@ -351,24 +364,12 @@ def test_dense_pieces_take_the_sweep(monkeypatch):
         return real(out_adj, s, t, limit)
 
     monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
-    for d, swept in ((12, True), (10, False)):
+    for d, flows in CIRCULANT_FLOWS.items():
         g = from_edge_list(30, [(i, (i + j) % 30) for i in range(30) for j in range(1, d + 1)])
         pairs.clear()
         assert is_k_vertex_connected(g, 3)
-        assert all(t not in g.out_adj[s] for s, t in pairs)
-        assert all(min(s, t) < 3 for s, t in pairs) == swept
-        if swept:
-            # Even's sweep, from its definition: for s < 3 and t > s, (s, t)
-            # if there is no edge s->t, then (t, s) if there is no edge t->s.
-            order = []
-            for s in range(3):
-                for t in range(s + 1, g.n):
-                    if t not in g.out_adj[s]:
-                        order.append((s, t))
-                    if s not in g.out_adj[t]:
-                        order.append((t, s))
-            assert pairs == order
-        assert len(pairs) <= (6 * 29 if swept else 2 * 29 + d * d)
+        assert len(pairs) == flows
+        assert all(t not in g.out_adj[s] and len(_two_step_paths(g, s, t)) < 3 for s, t in pairs)
         assert k_vccs(g, 3) == [tuple(range(30))]
         assert not is_k_vertex_connected(g, d + 1)
         assert vertex_connectivity(g) == d
@@ -383,9 +384,37 @@ DENSITY_SPECS = [
 ]
 
 
+def test_pairs_skipped_for_two_step_paths_are_k_connected(monkeypatch):
+    # _cut_below gives no flow to a pair (a, b) with k vertices z on paths
+    # a -> z -> b, since fewer than k vertices cannot meet them all.  So the
+    # flow capped at k reaches k on every pair it skips before it stops.
+    flowed = []
+    real = vconn.kvcc._min_st_vertex_cut
+
+    def spy(out_adj, s, t, limit):
+        flowed.append((s, t))
+        return real(out_adj, s, t, limit)
+
+    monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
+    skipped = 0
+    for spec in DENSITY_SPECS:
+        g = gen_random(spec)
+        pairs = list(vconn.kvcc._one_source_pairs(g, vconn.kvcc._least_degree_vertex(g)))
+        for k in (1, 2, 3, 4, 5, 8):
+            flowed.clear()
+            cut = vconn.kvcc._cut_below(g, k)
+            walked = pairs if cut is None else pairs[: pairs.index(flowed[-1]) + 1]
+            assert flowed == [(a, b) for a, b in walked if len(_two_step_paths(g, a, b)) < k]
+            for a, b in set(walked) - set(flowed):
+                assert _min_st_vertex_cut(g.out_adj, a, b, k)[0] == k, (spec, k, a, b)
+                skipped += 1
+    assert skipped > 1000
+
+
 def test_one_source_cuts_agree_with_the_sweep_above_oracle_size():
-    # min_vertex_cut and vertex_connectivity take the one-source pairs;
-    # is_k_vertex_connected takes the sweep on dense graphs at small k.
+    # min_vertex_cut and vertex_connectivity flow every one-source pair;
+    # is_k_vertex_connected skips the pairs that two-step paths settle.
+    # ``swept`` counts the dense cases, d-(v)d+(v) > 2(k-1)(n-1).
     swept = 0
     for spec in DENSITY_SPECS:
         g = gen_random(spec)

@@ -88,7 +88,6 @@ def test_one_pair_loop_per_question():
     # the one search for a cut below k; no other function walks a pair
     # list of its own.
     allowed = {
-        "_source_pairs": {"_cut_below", "_one_source_pairs"},
         "_one_source_pairs": {"_cut_below", "_global_min_cut"},
     }
     found = []
