@@ -211,6 +211,9 @@ def bench(
         raise InvalidSpec(f"planted clique size must be >= 2, got {clique}")
     if not all(math.isfinite(density * n) for n in sizes):
         raise InvalidSpec(f"density {density} gives no finite edge count for sizes {sizes}")
+    for n in sizes:
+        # Before ``(clique,) * count`` below allocates a tuple of size ~n.
+        testkit.check_vertex_count(n)
     records: list[BenchRecord] = []
     for idx, n in enumerate(sizes):
         m = int(density * n)

@@ -20,32 +20,36 @@ vertex v one of these pairs is non-adjacent and separated by X: (v, w)
 with w in B, if v is in A; (w, v) with w in A, if v is in B; (x, y) with
 x an in-neighbour of v in A and y an out-neighbour of v in B, if v is in
 X.  If g is not strongly connected, X is empty and v lies in A or B.
-``_one_source_pairs`` tries exactly these pair shapes for the v of least
+``_one_source_pairs`` yields exactly these pair shapes for the v of least
 in-degree x out-degree: at most 2(n-1) + d-(v)d+(v) flows.
-``_global_min_cut`` takes the least flow over all the pairs: every
-non-adjacent pair needs at least kappa vertices to separate it, and the
-lemma gives one that needs exactly kappa.  ``vertex_connectivity`` and
-``min_vertex_cut`` both call it, so the documented cut is the minimum
-a-b separator closest to a, for the first pair (a, b) in the one-source
-order that kappa vertices separate.  Even's sweep ("An algorithm for
-determining whether the connectivity of a graph is at least k", SIAM J.
-Comput. 1975) would instead need sources 0..kappa, up to delta+1 of them
-for the least degree delta, while d-(v)d+(v) <= delta(n-1); on uniform
-graphs with n = 100 and edge probability 0.5 it ran 2810-3122 flows
-against 863-976, and the one-source search also won where kappa is far
-below delta (two dense blobs joined through 2 or 3 vertices).
+``_cuts_below`` is the one walk over them.  ``_global_min_cut`` takes
+the least flow over all the pairs: every non-adjacent pair needs at
+least kappa vertices to separate it, and the lemma gives one that needs
+exactly kappa.  ``vertex_connectivity`` and ``min_vertex_cut`` both call
+it, so the documented cut is the minimum a-b separator closest to a, for
+the first pair (a, b) in the one-source order that kappa vertices
+separate.  Even's sweep ("An algorithm for determining whether the
+connectivity of a graph is at least k", SIAM J. Comput. 1975) would
+instead need sources 0..kappa, up to delta+1 of them for the least
+degree delta, while d-(v)d+(v) <= delta(n-1); on uniform graphs with
+n = 100 and edge probability 0.5 it ran 2810-3122 flows against
+863-976, and the one-source search also won where kappa is far below
+delta (two dense blobs joined through 2 or 3 vertices).
 
 *Two-step paths* (the neighbour bound of Wen, Qin, Zhang, Chang and
 Chen, "Enumerating k-vertex connected components in large graphs", ICDE
 2019, in directed form).  Lemma: if k vertices z have edges a -> z -> b,
 then kappa(a, b) >= k, since a set of fewer than k vertices other than a
 and b misses one such z, and a -> z -> b survives its removal.
-``_cut_below`` (the k-VCC split and ``is_k_vertex_connected``) walks the
-one-source pairs, gives no flow to a pair with k such z (the count stops
-at k), and returns the separator of the first pair whose flow, stopped at
-value k, stays below k.  A skipped pair's flow would have reached k, so
-the first pair below k and its cut are those of the walk without the
-rule.  Dense pieces gain most.  On 31 graphs (uniform with n = 100 and
+``_cuts_below`` walks the one-source pairs, gives no flow to a pair with
+k such z (the count stops at k, read from the set the pair was tested
+with), and yields the separator of each pair whose flow, stopped at value
+k, stays below k; k then falls to that separator's size.  A skipped
+pair's flow would have reached k, so each pair below k and its cut are
+those of the walk without the rule.  The k-VCC split and
+``is_k_vertex_connected`` take the first separator from k;
+``_global_min_cut`` takes the last from k = n - 1, the running best.
+Dense pieces gain most.  On 31 graphs (uniform with n = 100 and
 200 and edge probability 0.05-0.8, two seeds each; two 60-vertex blobs
 of edge probability 0.5 joined through 2 or 3 vertices, two seeds each;
 the 60-vertex circulants i -> i+1..i+d with d = 10, 12 and 20),
@@ -62,11 +66,19 @@ vCPUs with Python 3.11.7:
 
 On sparse pieces it settles little: over ``k_vccs(g, 3)`` on 16 seeded
 chains of 6-cliques closed by a spanning cycle (n = 51), it skips 5 of
-1494 flows.
+1494 flows.  For the minimum cut the threshold is the running best,
+which starts at n - 1 and settles little before kappa is found; after
+that kappa lies near the least degree, so few pairs have kappa two-step
+paths.  One call of ``min_vertex_cut`` per graph of the benchmark's
+seed-0 cut sets ran, without / with the rule, 1,593 / 1,241 flows on 28
+uniform graphs (n = 30, m = 120), 1,536 / 1,500 on 8 chains of 4-cliques
+(n = 100, m = 400) and 1,474 / 1,474 on the 16 chains of 6-cliques above;
+on 27 uniform graphs with n = 40, 60 and 80 and edge probability 0.3,
+0.5 and 0.7 (three seeds each), 9,258 / 8,053.
 
 Complete bidirected graphs have no cut and get connectivity n-1 by
-convention: they have no non-adjacent pair, so ``_global_min_cut`` keeps
-its starting value.
+convention: they have no non-adjacent pair, so the walk yields nothing
+and ``_global_min_cut`` returns None.
 
 k-VCCs for k > 2 come from one split loop: the 2-VCC engine runs once,
 and every piece is then split at any cut X of fewer than k vertices with
@@ -98,63 +110,51 @@ class VertexCut:
         return len(self.vertices)
 
 
-def _is_complete_bidirected(g: DiGraph) -> bool:
-    return g.m == g.n * (g.n - 1)
-
-
-def _least_degree_vertex(g: DiGraph) -> int:
-    """The vertex of least in-degree x out-degree, lowest id on ties."""
-    return min(range(g.n), key=lambda u: len(g.out_adj[u]) * len(g.in_adj[u]))
-
-
-def _one_source_pairs(g: DiGraph, v: int) -> Iterator[tuple[int, int]]:
-    """The Esfahanian-Hakimi pairs of g and v (see the module docstring):
-    every (v, w) with no edge v->w and every (w, v) with no edge w->v, for
+def _one_source_pairs(g: DiGraph) -> Iterator[tuple[int, int, Iterator[int]]]:
+    """The Esfahanian-Hakimi pairs of g (see the module docstring) for the
+    vertex v of least in-degree x out-degree, lowest id on ties: every
+    (v, w) with no edge v->w and every (w, v) with no edge w->v, for
     w = 0, 1, ... in turn, then every (x, y) with x -> v -> y, x != y and
-    no edge x->y."""
+    no edge x->y.  Each pair (a, b) comes with a lazy iterator over the z
+    with a -> z -> b."""
+    v = min(range(g.n), key=lambda u: len(g.out_adj[u]) * len(g.in_adj[u]))
     outs, ins = set(g.out_adj[v]), set(g.in_adj[v])
     for w in range(g.n):
         if w != v:
             if w not in outs:
-                yield v, w
+                yield v, w, filter(outs.__contains__, g.in_adj[w])
             if w not in ins:
-                yield w, v
+                yield w, v, filter(ins.__contains__, g.out_adj[w])
     for x in g.in_adj[v]:
         x_outs = set(g.out_adj[x])
         for y in g.out_adj[v]:
             if y != x and y not in x_outs:
-                yield x, y
+                yield x, y, filter(x_outs.__contains__, g.in_adj[y])
 
 
-def _global_min_cut(g: DiGraph) -> tuple[int, tuple[int, ...]]:
-    """Vertex connectivity kappa of a strongly connected graph and a
-    minimum cut: the separator of the first one-source pair whose flow,
-    capped at the best value so far, falls below it; (n - 1, ()) when
-    every pair is adjacent."""
-    best, cut = g.n - 1, ()
-    for a, b in _one_source_pairs(g, _least_degree_vertex(g)):
-        value, sep = _min_st_vertex_cut(g.out_adj, a, b, best)
-        if sep is not None:
-            best, cut = value, sep
-    return best, cut
-
-
-def _cut_below(g: DiGraph, k: int) -> tuple[int, ...] | None:
-    """Some set of fewer than k vertices whose removal leaves g (n >= 2)
-    not strongly connected, or None if there is none: the separator of the
-    first one-source pair whose flow, stopped at value k, stays below k.
-    A pair (a, b) with k vertices z on two-step paths a -> z -> b gets no
-    flow, since fewer than k vertices cannot meet all those paths."""
-    outs: dict[int, set[int]] = {}
-    for a, b in _one_source_pairs(g, _least_degree_vertex(g)):
-        if a not in outs:
-            outs[a] = set(g.out_adj[a])
-        two_step = filter(outs[a].__contains__, g.in_adj[b])  # z with a -> z -> b
+def _cuts_below(g: DiGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """Separators of fewer than k vertices, each smaller than the last:
+    the walk over the one-source pairs flows every pair with fewer than k
+    two-step paths, stopped at value k; it yields the separator of a pair
+    that stays below k and lowers k to that separator's size.  The last
+    one yielded is a minimum cut of a strongly connected g."""
+    for a, b, two_step in _one_source_pairs(g):
         if next(islice(two_step, k - 1, None), None) is None:
             _, cut = _min_st_vertex_cut(g.out_adj, a, b, k)
             if cut is not None:
-                return cut
-    return None
+                yield cut
+                if not cut:
+                    return
+                k = len(cut)
+
+
+def _global_min_cut(g: DiGraph) -> tuple[int, ...] | None:
+    """A minimum cut of a strongly connected graph: the last separator of
+    the walk from k = n - 1; None when every pair is adjacent."""
+    cut = None
+    for cut in _cuts_below(g, g.n - 1):
+        pass
+    return cut
 
 
 def vertex_connectivity(g: DiGraph) -> int:
@@ -162,7 +162,8 @@ def vertex_connectivity(g: DiGraph) -> int:
     connectivity; n-1 for complete bidirected graphs by convention."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    return _global_min_cut(g)[0]
+    cut = _global_min_cut(g)
+    return g.n - 1 if cut is None else len(cut)
 
 
 def min_vertex_cut(g: DiGraph) -> VertexCut:
@@ -175,9 +176,9 @@ def min_vertex_cut(g: DiGraph) -> VertexCut:
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     if g.n == 1:
         raise NoCutExists("a single vertex has no vertex cut")
-    if _is_complete_bidirected(g):
+    cut = _global_min_cut(g)
+    if cut is None:
         raise NoCutExists("complete bidirected graphs have no vertex cut")
-    _, cut = _global_min_cut(g)
     return VertexCut(cut)
 
 
@@ -186,7 +187,7 @@ def is_k_vertex_connected(g: DiGraph, k: int) -> bool:
     removal of any fewer than k vertices."""
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    return g.n >= k + 1 and _cut_below(g, k) is None
+    return g.n >= k + 1 and next(_cuts_below(g, k), None) is None
 
 
 def _too_few_of_degree(h: DiGraph, k: int) -> bool:
@@ -237,7 +238,7 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
         h = work.pop()
         if _too_few_of_degree(h, k):
             continue
-        cut = _cut_below(h, k)
+        cut = next(_cuts_below(h, k), None)
         if cut is None:
             out.append(h.origin_labels)
         else:

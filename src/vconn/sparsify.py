@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from ._flow import FlowNetwork, _min_st_vertex_cut
 from .articulation import is_2vertex_connected
-from .connectivity import is_strongly_connected
+from .connectivity import is_strongly_connected, strongly_connected_components
 from .errors import NotStronglyConnected, NotTwoVertexConnected
 from .graph import DiGraph, Edge, induced_subgraph, strip_labels
 from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
@@ -100,34 +100,23 @@ def coarsen(g: DiGraph) -> CoarsenedGraph:
 
 
 def _quotient(g: DiGraph, comps: ComponentList) -> CoarsenedGraph:
-    """``coarsen`` for a label-free g whose components are already known."""
-    parent = list(range(g.n))
+    """``coarsen`` for a label-free g whose components are already known.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for comp in comps:
-        root = find(comp[0])
-        for v in comp[1:]:
-            parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    classes = sorted((tuple(sorted(grp)) for grp in groups.values()), key=lambda c: c[0])
-    cls_of = [0] * g.n
-    for i, cls in enumerate(classes):
-        for v in cls:
-            cls_of[v] = i
+    The classes are the SCCs of the star graph that joins each
+    component's first vertex to its other vertices in both directions:
+    overlapping components share a vertex, so their stars share an SCC.
+    ``strongly_connected_components`` orders them by smallest member.
+    """
+    star = [(c[0], v) for c in comps for v in c[1:]]
+    scc = strongly_connected_components(DiGraph(g.n, star + [(v, u) for u, v in star]))
+    classes, cls_of = scc.components, scc.component_id
     edge_origins: dict[Edge, Edge] = {}
     for u, v in g.edges:
         cu, cv = cls_of[u], cls_of[v]
         if cu != cv and (cu, cv) not in edge_origins:
             edge_origins[(cu, cv)] = (u, v)
     quotient = DiGraph(len(classes), edge_origins.keys())
-    return CoarsenedGraph(quotient, tuple(classes), edge_origins)
+    return CoarsenedGraph(quotient, classes, edge_origins)
 
 
 def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:

@@ -29,8 +29,17 @@ MAX_ORACLE_VERTICES = 12
 MAX_ORACLE_EDGES = 20
 
 # ``gen_random`` rejects an edge target above this, and a vertex count
-# above ``graph.MAX_VERTICES``, before allocating anything.
+# above ``graph.MAX_VERTICES`` (``check_vertex_count``), before allocating
+# anything.
 MAX_GEN_EDGES = 10_000_000
+
+
+def check_vertex_count(n: int) -> None:
+    """Reject a generator vertex count outside 1..``graph.MAX_VERTICES``."""
+    if n < 1:
+        raise InvalidSpec(f"n must be >= 1, got {n}")
+    if n > graph.MAX_VERTICES:
+        raise InvalidSpec(f"n={n} is above the cap of {graph.MAX_VERTICES} vertices")
 
 
 def _guard_n(g: DiGraph) -> None:
@@ -334,10 +343,7 @@ def gen_random(spec: GenSpec) -> DiGraph:
     bidirected cliques of the requested sizes, consecutive cliques glued
     at one shared vertex, then tops up with noise edges.
     """
-    if spec.n < 1:
-        raise InvalidSpec(f"n must be >= 1, got {spec.n}")
-    if spec.n > graph.MAX_VERTICES:
-        raise InvalidSpec(f"n={spec.n} is above the cap of {graph.MAX_VERTICES} vertices")
+    check_vertex_count(spec.n)
     if spec.m > MAX_GEN_EDGES:
         raise InvalidSpec(f"m={spec.m} is above the cap of {MAX_GEN_EDGES} edges")
     if not 0 <= spec.m <= spec.n * (spec.n - 1):

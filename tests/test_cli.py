@@ -153,6 +153,17 @@ def test_bench_rejects_a_density_whose_edge_count_overflows():
         bench([20], ["split"], 1, density=1e308)
 
 
+def test_bench_rejects_a_size_above_the_vertex_cap(capsys):
+    # Every size is checked before the first graph, and before the planted
+    # family's tuple of about n / 3 clique sizes is built.
+    with pytest.raises(InvalidSpec, match="above the cap"):
+        bench([20, 100_000_000_000], ["split"], 1)
+    assert run(["bench", "--sizes", "100000000000", "--reps", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidSpec: n=100000000000 is above the cap of 10000000 vertices\n"
+    )
+
+
 def test_sparsify_output(fig1_file, capsys):
     assert run(["sparsify", "--problem", "1", fig1_file]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -63,6 +63,14 @@ def test_min_vertex_cut_examples(bowtie, k4b, c4b):
         min_vertex_cut(from_edge_list(1, []))
     with pytest.raises(NoCutExists, match="no vertices"):
         min_vertex_cut(from_edge_list(0, []))
+    for n in range(1, 7):
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        with pytest.raises(NoCutExists) as caught:
+            min_vertex_cut(g)
+        assert str(caught.value) == (
+            "a single vertex has no vertex cut" if n == 1
+            else "complete bidirected graphs have no vertex cut"
+        )
 
 
 def test_min_vertex_cut_is_minimum_and_disconnecting():
@@ -385,35 +393,80 @@ DENSITY_SPECS = [
 
 
 def test_pairs_skipped_for_two_step_paths_are_k_connected(monkeypatch):
-    # _cut_below gives no flow to a pair (a, b) with k vertices z on paths
+    # The walk gives no flow to a pair (a, b) with k vertices z on paths
     # a -> z -> b, since fewer than k vertices cannot meet them all.  So the
     # flow capped at k reaches k on every pair it skips before it stops.
+    # For the minimum cut k starts at n - 1 and falls to each new
+    # separator's size, so a pair skipped at the running best has a flow
+    # capped there that reaches it.
     flowed = []
     real = vconn.kvcc._min_st_vertex_cut
 
     def spy(out_adj, s, t, limit):
-        flowed.append((s, t))
-        return real(out_adj, s, t, limit)
+        result = real(out_adj, s, t, limit)
+        flowed.append((s, t, limit, result[1]))
+        return result
 
     monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
     skipped = 0
     for spec in DENSITY_SPECS:
         g = gen_random(spec)
-        pairs = list(vconn.kvcc._one_source_pairs(g, vconn.kvcc._least_degree_vertex(g)))
+        pairs = [(a, b) for a, b, _ in vconn.kvcc._one_source_pairs(g)]
         for k in (1, 2, 3, 4, 5, 8):
             flowed.clear()
-            cut = vconn.kvcc._cut_below(g, k)
-            walked = pairs if cut is None else pairs[: pairs.index(flowed[-1]) + 1]
-            assert flowed == [(a, b) for a, b in walked if len(_two_step_paths(g, a, b)) < k]
-            for a, b in set(walked) - set(flowed):
+            cut = next(vconn.kvcc._cuts_below(g, k), None)
+            flows = [(s, t) for s, t, _, _ in flowed]
+            walked = pairs if cut is None else pairs[: pairs.index(flows[-1]) + 1]
+            assert flows == [(a, b) for a, b in walked if len(_two_step_paths(g, a, b)) < k]
+            for a, b in set(walked) - set(flows):
                 assert _min_st_vertex_cut(g.out_adj, a, b, k)[0] == k, (spec, k, a, b)
                 skipped += 1
+        flowed.clear()
+        cut = vconn.kvcc._global_min_cut(g)
+        best, runs = g.n - 1, iter(flowed)
+        for a, b in pairs:
+            if len(_two_step_paths(g, a, b)) >= best:
+                assert _min_st_vertex_cut(g.out_adj, a, b, best)[0] == best, (spec, a, b)
+                skipped += 1
+                continue
+            s, t, limit, sep = next(runs)
+            assert (s, t, limit) == (a, b, best)
+            if sep is not None:
+                best = len(sep)
+        assert next(runs, None) is None
+        assert len(cut) == best == vertex_connectivity(g)
     assert skipped > 1000
 
 
+# Flows of vertex_connectivity and of min_vertex_cut on uniform m = 4n
+# graphs, with their kappa and cut, exact and free of timing noise: they
+# guard the falling threshold of the minimum-cut walk.
+MIN_CUT_FLOWS = {1100: (47, 1, (15,)), 1101: (39, 1, (6,)), 1102: (53, 2, (9, 17))}
+
+
+@pytest.mark.parametrize("seed", sorted(MIN_CUT_FLOWS))
+def test_minimum_cut_flows_only_pairs_below_the_running_best(monkeypatch, seed):
+    flows = []
+    real = vconn.kvcc._min_st_vertex_cut
+
+    def spy(out_adj, s, t, limit):
+        flows.append((s, t))
+        return real(out_adj, s, t, limit)
+
+    monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
+    g = gen_random(GenSpec(n=30, m=120, seed=seed, strongly_connected=True))
+    count, kappa, cut = MIN_CUT_FLOWS[seed]
+    assert vertex_connectivity(g) == kappa
+    assert len(flows) == count
+    flows.clear()
+    assert min_vertex_cut(g).vertices == cut
+    assert len(flows) == count
+
+
 def test_one_source_cuts_agree_with_the_sweep_above_oracle_size():
-    # min_vertex_cut and vertex_connectivity flow every one-source pair;
-    # is_k_vertex_connected skips the pairs that two-step paths settle.
+    # All three skip the one-source pairs that two-step paths settle:
+    # min_vertex_cut and vertex_connectivity at the running best,
+    # is_k_vertex_connected at k.
     # ``swept`` counts the dense cases, d-(v)d+(v) > 2(k-1)(n-1).
     swept = 0
     for spec in DENSITY_SPECS:

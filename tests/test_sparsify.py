@@ -19,7 +19,7 @@ from vconn import (
 )
 from vconn._flow import FlowNetwork
 from vconn.errors import NotStronglyConnected, NotTwoVertexConnected
-from vconn.testkit import GenSpec, brute_mscss, brute_opt_sparsifier, gen_random
+from vconn.testkit import GenSpec, _quotient, brute_mscss, brute_opt_sparsifier, gen_random
 
 from conftest import bidirected, mixed_corpus
 
@@ -56,6 +56,28 @@ def test_coarsen_representatives_are_lex_smallest():
     cg = coarsen(g)
     assert cg.classes == ((0, 1, 2), (3, 4, 5))
     assert cg.edge_origins == {(0, 1): (1, 4)}
+
+
+def test_coarsen_matches_the_union_find_oracle():
+    # testkit's ``_quotient`` contracts the brute-force components with a
+    # union-find of its own, apart from the SCC code that ``coarsen`` uses.
+    # Chains of cliques glued at one vertex overlap; vertices past the
+    # chain are isolated when no noise edge reaches them.
+    graphs = mixed_corpus(80, base_seed=131_000, max_n=12)
+    for i in range(40):
+        n, size = 7 + i % 6, 3 + i % 2
+        count = (n - 3) // (size - 1)
+        m = count * size * (size - 1) + (0 if i % 3 == 0 else i % 5)
+        graphs.append(gen_random(GenSpec(n=n, m=m, model="planted", seed=131_100 + i,
+                                         sizes=(size,) * count)))
+    merged = isolated = 0
+    for g in graphs:
+        quotient, classes, origins = _quotient(g)
+        cg = coarsen(g)
+        assert (cg.graph, cg.classes, cg.edge_origins) == (quotient, tuple(classes), origins)
+        merged += any(len(c) > 1 and c not in two_vccs(g) for c in classes)
+        isolated += any(not g.out_adj[v] and not g.in_adj[v] for v in range(g.n))
+    assert merged >= 20 and isolated >= 10
 
 
 def test_min_degree2_subgraph(tri, k4b, fig1):

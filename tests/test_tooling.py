@@ -84,11 +84,11 @@ def test_only_the_flow_module_runs_split_network_flows():
 
 
 def test_one_pair_loop_per_question():
-    # ``_global_min_cut`` is the one minimum-cut search and ``_cut_below``
-    # the one search for a cut below k; no other function walks a pair
+    # ``_cuts_below`` is the one walk over the one-source pairs, for the
+    # minimum cut and for a cut below k; no other function walks a pair
     # list of its own.
     allowed = {
-        "_one_source_pairs": {"_cut_below", "_global_min_cut"},
+        "_one_source_pairs": {"_cuts_below"},
     }
     found = []
     for path in sorted(SRC.rglob("*.py")):
@@ -143,8 +143,7 @@ def test_one_vertex_cut_kernel_and_one_flow_network():
     # ``FlowNetwork``, would duplicate it.
     assert set(_calls_by_function("FlowNetwork")) == {("sparsify.py", "min_degree2_subgraph")}
     assert set(_calls_by_function("_min_st_vertex_cut")) == {
-        ("kvcc.py", "_global_min_cut"),
-        ("kvcc.py", "_cut_below"),
+        ("kvcc.py", "_cuts_below"),
         ("sparsify.py", "_edge_set_is_2vc"),
         ("sparsify.py", "_edge_set_is_strongly_connected"),
     }
