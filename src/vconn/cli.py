@@ -55,93 +55,59 @@ def _load_graph(path: str) -> DiGraph:
     return read_edge_list(text)
 
 
-def _print_json(value) -> None:
-    # json is imported here, so that the text outputs do not load it.
-    import json
+def _cmd_graph(args) -> int:
+    """The one path of every graph subcommand: load, compute, then print.
 
-    print(json.dumps(value))
-
-
-def _print_components(comps, as_json: bool) -> None:
-    if as_json:
-        _print_json([list(c) for c in comps])
-    else:
-        for c in comps:
-            print(" ".join(str(v) for v in c))
-
-
-def _cmd_scc(args) -> int:
+    ``args.compute(g, args)`` returns one JSON-serialisable value (tuples
+    print as lists).  ``--json`` prints it as JSON; otherwise
+    ``args.render`` turns that same value into the text lines.  Nothing is
+    printed before the value is complete, so a domain error leaves stdout
+    empty.
+    """
     g = _load_graph(args.graph)
-    _print_components(strongly_connected_components(g).components, args.json)
-    return 0
-
-
-def _cmd_domtree(args) -> int:
-    g = _load_graph(args.graph)
-    tree = dominator_tree(g, args.root)
+    value = args.compute(g, args)
     if args.json:
-        rows = [[w, tree.idom.get(w)] for w in range(g.n)]
-        _print_json({"root": tree.root, "idom": rows})
+        # json is imported here, so that the text outputs do not load it.
+        import json
+
+        print(json.dumps(value))
     else:
-        for w in range(g.n):
-            print(f"{w} -" if w == tree.root else f"{w} {tree.idom[w]}")
+        for line in args.render(value):
+            print(line)
     return 0
 
 
-def _cmd_sap(args) -> int:
-    g = _load_graph(args.graph)
+def _rows(rows) -> list[str]:
+    """Text lines of rows of ints, one row per line, joined by spaces."""
+    return [" ".join(map(str, row)) for row in rows]
+
+
+def _domtree(g: DiGraph, args) -> dict:
+    tree = dominator_tree(g, args.root)
+    return {"root": tree.root, "idom": [[w, tree.idom.get(w)] for w in range(g.n)]}
+
+
+def _domtree_text(value: dict) -> list[str]:
+    # Only the root has no immediate dominator.
+    return [f"{w} -" if d is None else f"{w} {d}" for w, d in value["idom"]]
+
+
+def _sap(g: DiGraph, args) -> list[int]:
     # SCCs of fewer than 3 vertices have no strong articulation points; the
     # pieces are strongly connected with >= 3 vertices, as _points_and_trees
     # requires.
-    points = {h.origin_labels[i] for h in _strong_pieces(g) for i in _points_and_trees(h)[0]}
-    if args.json:
-        _print_json(sorted(points))
-    else:
-        for v in sorted(points):
-            print(v)
-    return 0
+    return sorted({h.origin_labels[i] for h in _strong_pieces(g) for i in _points_and_trees(h)[0]})
 
 
-def _cmd_2vcc(args) -> int:
-    g = _load_graph(args.graph)
-    _print_components(two_vccs(g, args.algo), args.json)
-    return 0
+def _sparsify(g: DiGraph, args) -> dict:
+    result = {1: sparsify_problem1, 2: sparsify_problem2, 3: sparsify_problem3}[args.problem](g)
+    return {"n": g.n, "edges": result.edges, "retained": result.size, "of": g.m,
+            "certificate_ok": result.certificate_ok}
 
 
-def _cmd_kvcc(args) -> int:
-    g = _load_graph(args.graph)
-    _print_components(k_vccs(g, args.k), args.json)
-    return 0
-
-
-def _cmd_cut(args) -> int:
-    g = _load_graph(args.graph)
-    cut = min_vertex_cut(g)
-    if args.json:
-        _print_json(list(cut.vertices))
-    else:
-        print(" ".join(str(v) for v in cut.vertices))
-    return 0
-
-
-def _cmd_sparsify(args) -> int:
-    g = _load_graph(args.graph)
-    solver = {1: sparsify_problem1, 2: sparsify_problem2, 3: sparsify_problem3}[args.problem]
-    result = solver(g)
-    if args.json:
-        _print_json(
-            {
-                "n": g.n,
-                "edges": [list(e) for e in result.edges],
-                "retained": result.size,
-                "of": g.m,
-                "certificate_ok": result.certificate_ok,
-            }
-        )
-    else:
-        print(format_edge_list(DiGraph(g.n, result.edges)), end="")
-        print(f"# retained {result.size} of {g.m} edges")
-    return 0
+def _sparsify_text(value: dict) -> list[str]:
+    text = format_edge_list(DiGraph(value["n"], value["edges"]))
+    return [*text.splitlines(), f"# retained {value['retained']} of {value['of']} edges"]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -259,23 +225,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_cmd(name: str, func, help_text: str):
+    def add_graph_cmd(name: str, help_text: str, compute, render=_rows):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", nargs="?", default="-", help="edge-list file ('-' = stdin)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_graph, compute=compute, render=render)
         return p
 
-    add_graph_cmd("scc", _cmd_scc, "strongly connected components")
-    p = add_graph_cmd("domtree", _cmd_domtree, "dominator tree (one 'w idom' line per vertex)")
+    add_graph_cmd("scc", "strongly connected components",
+                  lambda g, args: strongly_connected_components(g).components)
+    p = add_graph_cmd("domtree", "dominator tree (one 'w idom' line per vertex)",
+                      _domtree, _domtree_text)
     p.add_argument("--root", type=int, default=0, help="start vertex (default 0)")
-    add_graph_cmd("sap", _cmd_sap, "strong articulation points, one id per line")
-    p = add_graph_cmd("2vcc", _cmd_2vcc, "2-vertex-connected components")
+    add_graph_cmd("sap", "strong articulation points, one id per line",
+                  _sap, lambda points: map(str, points))
+    p = add_graph_cmd("2vcc", "2-vertex-connected components",
+                      lambda g, args: two_vccs(g, args.algo))
     p.add_argument("--algo", choices=VARIANTS, default="domtree")
-    p = add_graph_cmd("kvcc", _cmd_kvcc, "k-vertex-connected components")
+    p = add_graph_cmd("kvcc", "k-vertex-connected components", lambda g, args: k_vccs(g, args.k))
     p.add_argument("-k", type=int, required=True)
-    add_graph_cmd("cut", _cmd_cut, "a minimum vertex cut")
-    p = add_graph_cmd("sparsify", _cmd_sparsify, "connectivity-preserving edge sparsifier")
+    add_graph_cmd("cut", "a minimum vertex cut",
+                  lambda g, args: min_vertex_cut(g).vertices, lambda cut: _rows([cut]))
+    p = add_graph_cmd("sparsify", "connectivity-preserving edge sparsifier",
+                      _sparsify, _sparsify_text)
     p.add_argument("--problem", type=int, choices=(1, 2, 3), default=1)
 
     p = sub.add_parser("gen", help="write a seeded random graph as an edge list")

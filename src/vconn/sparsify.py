@@ -106,9 +106,17 @@ def _quotient(g: DiGraph, comps: ComponentList) -> CoarsenedGraph:
     component's first vertex to its other vertices in both directions:
     overlapping components share a vertex, so their stars share an SCC.
     ``strongly_connected_components`` orders them by smallest member.
+    The star is symmetric, so one set of sorted rows serves as its out-
+    and in-adjacency, and the rows are canonical without ``DiGraph``'s
+    pass: no loop, since v != c[0], and no repeat, since two components
+    share at most one vertex.
     """
     star = [(c[0], v) for c in comps for v in c[1:]]
-    scc = strongly_connected_components(DiGraph(g.n, star + [(v, u) for u, v in star]))
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in star + [(v, u) for u, v in star]:
+        rows[u].append(v)
+    adj = tuple(tuple(sorted(row)) for row in rows)
+    scc = strongly_connected_components(DiGraph._from_adj(g.n, adj, adj, g.origin_labels))
     classes, cls_of = scc.components, scc.component_id
     edge_origins: dict[Edge, Edge] = {}
     for u, v in g.edges:

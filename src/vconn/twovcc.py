@@ -140,6 +140,17 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
     children set M(w) of the chosen tree (together with w itself), so the
     round recurses on the subgraphs induced by M(w) + {w} with |M(w)| >= 2.
 
+    The chosen tree is the one with more non-trivial dominators, and that
+    choice is what makes progress.  Some vertex other than 0 is a point,
+    so it dominates in one of the two trees; a tree with no non-trivial
+    dominator has every vertex as a child of vertex 0, its one sibling set
+    M(0) + {0} is all of h, and recursing on it would push h again
+    forever.  In a tree with one, a vertex below it is no child of 0, so
+    every sibling set is smaller than h.  Fixed to either tree, the engine loops on chains of
+    cliques: always taking the forward tree, it did not finish in 30 s on
+    a planted 1000-vertex chain of 4-cliques that it takes 0.05 s on as
+    written (2 vCPUs, Python 3.11).
+
     Before its round, a piece with a vertex of in- or out-degree below 2
     is replaced by the SCCs of its (2,2)-core, which is exact since each
     vertex of a component has two in- and two out-neighbours inside it.

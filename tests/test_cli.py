@@ -175,6 +175,79 @@ def test_sparsify_output(fig1_file, capsys):
     assert payload["retained"] == 17 and payload["certificate_ok"]
 
 
+# Problems 1 and 3 keep the same 14 edges of fig1.
+FIG1_SPARSE = "8 14\n0 3\n0 4\n0 6\n0 7\n3 0\n3 5\n4 0\n4 5\n5 3\n5 4\n6 0\n6 7\n7 0\n7 6\n"
+FIG1_SPARSE_JSON = (
+    '{"n": 8, "edges": [[0, 3], [0, 4], [0, 6], [0, 7], [3, 0], [3, 5], [4, 0], [4, 5], '
+    '[5, 3], [5, 4], [6, 0], [6, 7], [7, 0], [7, 6]], "retained": 14, "of": 18, '
+    '"certificate_ok": true}\n'
+)
+
+
+# Exact stdout of each graph subcommand on fig1: (text, --json).
+FIG1_OUTPUT = {
+    "scc": ("0 1 2 3 4 5 6 7\n", "[[0, 1, 2, 3, 4, 5, 6, 7]]\n"),
+    "domtree": (
+        "0 -\n1 4\n2 1\n3 0\n4 0\n5 0\n6 0\n7 0\n",
+        '{"root": 0, "idom": [[0, null], [1, 4], [2, 1], [3, 0], [4, 0], [5, 0], [6, 0], '
+        '[7, 0]]}\n',
+    ),
+    "sap": ("0\n1\n2\n3\n4\n", "[0, 1, 2, 3, 4]\n"),
+    "2vcc": ("0 3 4 5\n0 6 7\n", "[[0, 3, 4, 5], [0, 6, 7]]\n"),
+    "kvcc -k 2": ("0 3 4 5\n0 6 7\n", "[[0, 3, 4, 5], [0, 6, 7]]\n"),
+    "cut": ("2\n", "[2]\n"),
+    "sparsify --problem 1": (FIG1_SPARSE + "# retained 14 of 18 edges\n", FIG1_SPARSE_JSON),
+    "sparsify --problem 2": (
+        "8 17\n0 3\n0 4\n0 6\n0 7\n1 2\n2 3\n3 0\n3 5\n4 0\n4 1\n4 5\n5 3\n5 4\n"
+        "6 0\n6 7\n7 0\n7 6\n# retained 17 of 18 edges\n",
+        '{"n": 8, "edges": [[0, 3], [0, 4], [0, 6], [0, 7], [1, 2], [2, 3], [3, 0], [3, 5], '
+        '[4, 0], [4, 1], [4, 5], [5, 3], [5, 4], [6, 0], [6, 7], [7, 0], [7, 6]], '
+        '"retained": 17, "of": 18, "certificate_ok": true}\n',
+    ),
+    "sparsify --problem 3": (FIG1_SPARSE + "# retained 14 of 18 edges\n", FIG1_SPARSE_JSON),
+}
+
+
+@pytest.mark.parametrize("command", FIG1_OUTPUT)
+def test_every_graph_subcommand_prints_fig1_exactly(fig1_file, capsys, command):
+    text, as_json = FIG1_OUTPUT[command]
+    assert run([*command.split(), fig1_file]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert run([*command.split(), "--json", fig1_file]) == 0
+    assert capsys.readouterr() == (as_json, "")
+
+
+# A failing command of each graph subcommand: (input, message on stderr).
+# "weak" is not strongly connected; "bad" names a vertex out of range.
+DOMAIN_ERRORS = {
+    "scc": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
+    "domtree --root 99": ("fig1", "VertexOutOfRange: start vertex 99 outside [0, 8)"),
+    "domtree --root 1": ("weak", "NotAFlowgraph: 1 vertices unreachable from 1"),
+    "sap": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
+    "2vcc": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
+    "kvcc -k 1": ("fig1", "InvalidK: k must be >= 2, got 1"),
+    "cut": ("weak", "NotStronglyConnected: DiGraph(n=2, m=1) is not strongly connected"),
+    "sparsify --problem 1": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
+    "sparsify --problem 2": (
+        "weak",
+        "NotStronglyConnected: DiGraph(n=2, m=1) is not strongly connected",
+    ),
+    "sparsify --problem 3": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("command", DOMAIN_ERRORS)
+def test_a_domain_error_leaves_stdout_empty(fig1_file, tmp_path, capsys, command):
+    graph, err = DOMAIN_ERRORS[command]
+    path = fig1_file
+    if graph != "fig1":
+        path = tmp_path / f"{graph}.txt"
+        path.write_text({"weak": "2 1\n0 1\n", "bad": "2 1\n0 5\n"}[graph])
+    for flags in ([], ["--json"]):
+        assert run([*command.split(), *flags, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_gen_pipes_into_analysis(tmp_path, capsys):
     assert run(["gen", "--model", "planted", "-n", "5", "-m", "0",
                 "--sizes", "3,3", "--seed", "4"]) == 0

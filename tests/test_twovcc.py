@@ -233,6 +233,26 @@ def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie)
     assert calls["trees"] == 2 * calls["tests"] > 0
 
 
+def test_domtree_recurses_on_the_tree_with_more_nontrivial_dominators(monkeypatch):
+    # A dominator tree with no non-trivial dominators has every vertex as a
+    # child of vertex 0, so its one sibling set is the whole piece, and a
+    # round that recursed on it would push the same piece forever.  The
+    # engine takes the tree with more non-trivial dominators; fixing it to
+    # either tree repeats a piece on one of these seeds.
+    real = twovcc.induced_subgraph
+
+    def spy(h, s):
+        s = set(s)
+        assert len(s) < h.n, "a round asked for all of its piece's vertices"
+        return real(h, s)
+
+    monkeypatch.setattr(twovcc, "induced_subgraph", spy)
+    for seed in (27, 233):
+        g = gen_random(GenSpec(n=13, m=0, model="planted", seed=seed, sizes=(4,) * 4,
+                               strongly_connected=True))
+        assert two_vccs_domtree(g) == two_vccs_split(g), seed
+
+
 def _metamorphic_graphs():
     # Uniform m=4n graphs (one giant component), chains of 4-cliques with a
     # few noise edges (many small components) and one chain closed by a
