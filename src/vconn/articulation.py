@@ -1,41 +1,35 @@
 """Strong articulation points and the 2-vertex-connectivity test.
 
-A strong articulation point is a vertex whose removal increases the number
-of strongly connected components.  For a strongly connected graph they are
-found in near-linear time from one pivot vertex: the pivot itself if its
-removal disconnects the graph, plus the non-trivial dominators of the
-flowgraphs rooted at the pivot in the graph and in its reversal.
+A strong articulation point (SAP) is a vertex whose removal increases the
+number of strongly connected components.  Removing v changes only the SCC
+C that holds v, so v is a SAP of g exactly when it is a SAP of C, and the
+SAPs of g are the union of those of its SCCs.  An SCC of one or two
+vertices has none.  For a strongly connected graph of at least three
+vertices they are found in near-linear time from one pivot vertex: the
+pivot itself if its removal disconnects the graph, plus the non-trivial
+dominators of the flowgraphs rooted at the pivot in the graph and in its
+reversal.
 """
 
 from __future__ import annotations
 
-from .connectivity import _scc_ids, is_strongly_connected
+from .connectivity import _scc_ids, _strong_pieces, is_strongly_connected
 from .dominators import DominatorTree, dominator_tree, nontrivial_dominators
-from .errors import NotStronglyConnected, VertexOutOfRange
-from .graph import DiGraph, reverse
+from .graph import DiGraph, reverse, strip_labels
 
 
-def strong_articulation_points(g: DiGraph, pivot: int = 0) -> set[int]:
-    """All strong articulation points of a strongly connected graph.
+def strong_articulation_points(g: DiGraph) -> set[int]:
+    """All strong articulation points of any graph g, in g's own ids.
 
-    ``pivot`` is fixed to vertex 0 for determinism; the result is
-    independent of the choice (the test suite re-checks with random
-    pivots), but a pivot outside [0, n) raises VertexOutOfRange.  For a
-    general graph, union the results over its strongly connected
-    components.
+    They are the union of the SAPs of g's SCCs of at least three vertices
+    (see the module docstring), each found from pivot vertex 0; the
+    answer does not depend on the pivot.
     """
-    if not is_strongly_connected(g):
-        raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    if not 0 <= pivot < g.n:
-        raise VertexOutOfRange(f"pivot {pivot} outside [0, {g.n})")
-    if g.n <= 2:
-        return set()
-    return _points_and_trees(g, pivot)[0]
+    pieces = _strong_pieces(strip_labels(g))
+    return {h.origin_labels[i] for h in pieces for i in _points_and_trees(h)[0]}
 
 
-def _points_and_trees(
-    g: DiGraph, pivot: int = 0
-) -> tuple[set[int], DominatorTree, DominatorTree]:
+def _points_and_trees(g: DiGraph, pivot: int = 0) -> tuple[set[int], DominatorTree, DominatorTree]:
     """Strong articulation points of g, with the dominator trees of (g,
     pivot) and (reverse(g), pivot) they were read from.
 

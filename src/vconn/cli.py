@@ -12,8 +12,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .articulation import _points_and_trees
-from .connectivity import _strong_pieces, strongly_connected_components
+from .articulation import strong_articulation_points
+from .connectivity import strongly_connected_components
 from .dominators import dominator_tree
 from .errors import EdgeListFormatError, GraphError, InvalidSpec, MismatchedOutputs
 from .graph import DiGraph, format_edge_list, read_edge_list
@@ -90,13 +90,6 @@ def _domtree(g: DiGraph, args) -> dict:
 def _domtree_text(value: dict) -> list[str]:
     # Only the root has no immediate dominator.
     return [f"{w} -" if d is None else f"{w} {d}" for w, d in value["idom"]]
-
-
-def _sap(g: DiGraph, args) -> list[int]:
-    # SCCs of fewer than 3 vertices have no strong articulation points; the
-    # pieces are strongly connected with >= 3 vertices, as _points_and_trees
-    # requires.
-    return sorted({h.origin_labels[i] for h in _strong_pieces(g) for i in _points_and_trees(h)[0]})
 
 
 def _sparsify(g: DiGraph, args) -> dict:
@@ -238,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                       _domtree, _domtree_text)
     p.add_argument("--root", type=int, default=0, help="start vertex (default 0)")
     add_graph_cmd("sap", "strong articulation points, one id per line",
-                  _sap, lambda points: map(str, points))
+                  lambda g, args: sorted(strong_articulation_points(g)),
+                  lambda points: map(str, points))
     p = add_graph_cmd("2vcc", "2-vertex-connected components",
                       lambda g, args: two_vccs(g, args.algo))
     p.add_argument("--algo", choices=VARIANTS, default="domtree")

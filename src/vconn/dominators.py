@@ -73,7 +73,8 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
         else:
             stack.pop()
     if len(pre) != n:
-        raise NotAFlowgraph(f"{n - len(pre)} vertices unreachable from {v}")
+        noun = "vertex" if len(pre) == n - 1 else "vertices"
+        raise NotAFlowgraph(f"{n - len(pre)} {noun} unreachable from {v}")
 
     # Lengauer-Tarjan in dfs-number space.
     semi = list(range(n))

@@ -10,7 +10,7 @@ that map each local id back to an id of the graph the chain started from.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 from .errors import EdgeListFormatError, VertexOutOfRange
 
@@ -22,7 +22,7 @@ class DiGraph:
 
     __slots__ = ("n", "out_adj", "in_adj", "origin_labels", "_edges")
 
-    def __init__(self, n: int, pairs: Iterable[Edge], origin_labels: Sequence[int] | None = None):
+    def __init__(self, n: int, pairs: Iterable[Edge]):
         if n < 0:
             raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
         self.n = n
@@ -41,13 +41,7 @@ class DiGraph:
                 inn[v].append(u)
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(out_sorted)
         self.in_adj: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in inn)
-        if origin_labels is None:
-            self.origin_labels: tuple[int, ...] = tuple(range(n))
-        else:
-            labels = tuple(origin_labels)
-            if len(labels) != n or len(set(labels)) != n:
-                raise VertexOutOfRange("origin_labels must be injective over all n vertices")
-            self.origin_labels = labels
+        self.origin_labels: tuple[int, ...] = tuple(range(n))
         self._edges: tuple[Edge, ...] | None = None
 
     @classmethod

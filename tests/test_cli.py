@@ -218,11 +218,13 @@ def test_every_graph_subcommand_prints_fig1_exactly(fig1_file, capsys, command):
 
 
 # A failing command of each graph subcommand: (input, message on stderr).
-# "weak" is not strongly connected; "bad" names a vertex out of range.
+# "weak" is not strongly connected; "path" is the path 0 -> 1 -> 2; "bad"
+# names a vertex out of range.
 DOMAIN_ERRORS = {
     "scc": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
     "domtree --root 99": ("fig1", "VertexOutOfRange: start vertex 99 outside [0, 8)"),
-    "domtree --root 1": ("weak", "NotAFlowgraph: 1 vertices unreachable from 1"),
+    "domtree --root 1": ("weak", "NotAFlowgraph: 1 vertex unreachable from 1"),
+    "domtree --root 2": ("path", "NotAFlowgraph: 2 vertices unreachable from 2"),
     "sap": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
     "2vcc": ("bad", "VertexOutOfRange: edge (0, 5) outside [0, 2)"),
     "kvcc -k 1": ("fig1", "InvalidK: k must be >= 2, got 1"),
@@ -242,7 +244,8 @@ def test_a_domain_error_leaves_stdout_empty(fig1_file, tmp_path, capsys, command
     path = fig1_file
     if graph != "fig1":
         path = tmp_path / f"{graph}.txt"
-        path.write_text({"weak": "2 1\n0 1\n", "bad": "2 1\n0 5\n"}[graph])
+        texts = {"weak": "2 1\n0 1\n", "path": "3 2\n0 1\n1 2\n", "bad": "2 1\n0 5\n"}
+        path.write_text(texts[graph])
     for flags in ([], ["--json"]):
         assert run([*command.split(), *flags, str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")

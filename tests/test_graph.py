@@ -48,13 +48,6 @@ def test_from_edge_list_rejects_out_of_range():
         UndirectedGraph(2, [(0, 5)])
 
 
-def test_origin_labels_must_be_injective():
-    with pytest.raises(VertexOutOfRange):
-        DiGraph(2, [(0, 1)], origin_labels=(5, 5))
-    with pytest.raises(VertexOutOfRange):
-        DiGraph(2, [(0, 1)], origin_labels=(5,))
-
-
 def test_adjacency_is_transpose(fig1):
     pairs_out = {(u, v) for u in range(fig1.n) for v in fig1.out_adj[u]}
     pairs_in = {(u, v) for v in range(fig1.n) for u in fig1.in_adj[v]}

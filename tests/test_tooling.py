@@ -36,6 +36,41 @@ def test_only_connectivity_turns_scc_partitions_into_pieces():
     assert found == []
 
 
+def test_the_cli_reaches_the_library_only_through_public_names():
+    # A private helper is free to change its contract, so the command line
+    # must not build its own answer from one.  Checked: every name cli.py
+    # imports from a vconn module, and every attribute it reads from a
+    # vconn module it imports whole.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("vconn"))
+    ]
+    # ``from . import testkit`` binds a whole module.
+    modules = {
+        alias.asname or alias.name
+        for node in imports
+        if node.module in (None, "vconn")
+        for alias in node.names
+    }
+    found = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] + [
+        f"cli.py:{node.lineno} {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert imports
+    assert found == []
+
+
 def test_reference_engines_do_not_prune_to_the_degree_core():
     # ``split`` recomputes the sparsifier certificates, so the reference
     # engines share no pruning step with the production engine they check.
