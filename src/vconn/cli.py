@@ -99,8 +99,11 @@ def _sparsify(g: DiGraph, args) -> dict:
 
 
 def _sparsify_text(value: dict) -> list[str]:
-    text = format_edge_list(DiGraph(value["n"], value["edges"]))
-    return [*text.splitlines(), f"# retained {value['retained']} of {value['of']} edges"]
+    # The edge-list format, written directly: a result's edges are already
+    # sorted and distinct.
+    edges = value["edges"]
+    return [f"{value['n']} {len(edges)}", *(f"{u} {v}" for u, v in edges),
+            f"# retained {value['retained']} of {value['of']} edges"]
 
 
 def _int_list(text: str) -> tuple[int, ...]:

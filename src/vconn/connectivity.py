@@ -112,6 +112,10 @@ def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
     has fewer than k vertices.
     """
     comp, ncomp = _scc_ids(h.n, h.out_adj, skip=cut)
+    if cut and ncomp == 1:
+        # h minus cut is one SCC, so rejoining the cut gives back all of h:
+        # no copy of it is built.
+        return _strong_pieces(h)
     if cut:
         return [
             piece

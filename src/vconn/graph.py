@@ -170,7 +170,7 @@ def strip_labels(g: DiGraph) -> DiGraph:
 # comments.  Writers emit edges sorted by (u, v).  A header n above
 # MAX_VERTICES is rejected before anything of size n is allocated.
 
-MAX_VERTICES = 10_000_000
+MAX_VERTICES = 1_000_000
 
 
 def read_edge_list(source: str | TextIO) -> DiGraph:

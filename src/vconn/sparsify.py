@@ -35,7 +35,10 @@ place on a reject, so the flow sees exactly D - e.
 Every result carries a recomputed certificate so that validity never
 rests on the construction being right: the components are built with
 ``two_vccs_domtree`` once per graph and the certificates are recomputed
-once each with ``two_vccs_split``, a different engine.
+once each with ``two_vccs_split``, a different engine.  ``split`` cuts a
+piece at every strong articulation point one test finds before it tests
+a piece again, so on a bare chain of q cliques a certificate costs
+q + 1 articulation tests: one on the whole chain, one per clique.
 """
 
 from __future__ import annotations

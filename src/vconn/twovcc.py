@@ -24,7 +24,9 @@ Variants:
                   root-children intersection of the two dominator trees
                   at v, or split at v.  O(n^2 * m).
 * ``split``     - recursively split at a strong articulation point w into
-                  the SCCs of G minus w (each rejoined with w).  O(n * m).
+                  the SCCs of G minus w (each rejoined with w), splitting
+                  at every point one articulation test finds before a
+                  piece is tested again.  O(n * m).
 * ``domtree``   - first shrink each piece to its (2,2)-core and re-split
                   that into SCCs; only a piece whose in- and out-degrees
                   are all >= 2 gets a round.  Then one rule per round, from
@@ -45,6 +47,8 @@ keep sharing no step with it beyond ``_strong_pieces``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .articulation import _points_and_trees, is_2vertex_connected
 from .connectivity import _degree_core, _scc_ids, _strong_pieces, undirected_biconnected_components
@@ -112,19 +116,40 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
 
 
 def two_vccs_split(g: DiGraph) -> ComponentList:
-    """Components by recursive splitting at strong articulation points."""
-    work = _strong_pieces(strip_labels(g))
+    """Components by recursive splitting at strong articulation points.
+
+    One articulation test finds all the points of a piece, and the piece
+    is split at each of them in turn: every work item carries, in g's
+    ids, the points inherited from the last test above it that its
+    vertices still hold.  A split at any single vertex keeps every
+    component inside one piece, so an inherited vertex that is no longer
+    a point of its piece is harmless: the split at it returns that piece
+    itself, and the vertex is used up.  Only a piece with no inherited
+    points runs a test; with no points it is a component, otherwise its
+    points are inherited anew.  Every split uses up one point, and a test
+    that finds points splits at a real one, so the loop ends.  A chain of
+    q >= 2 cliques takes q + 1 tests: one on the chain, one per clique.
+    """
+    work = [(h, []) for h in _strong_pieces(strip_labels(g))]
     out: list[tuple[int, ...]] = []
     while work:
-        h = work.pop()  # strongly connected, n >= 3
-        points = _points_and_trees(h)[0]
+        h, points = work.pop()  # h strongly connected, n >= 3; points ascending
+        labels = h.origin_labels  # ascending, so bisect finds a point's local id
         if not points:
-            out.append(h.origin_labels)
-            continue
-        # Any articulation point is valid; the median of the sorted set
-        # keeps the recursion balanced on chain-like inputs.
-        ordered = sorted(points)
-        work.extend(_strong_pieces(h, (ordered[len(ordered) // 2],)))
+            points = sorted(labels[i] for i in _points_and_trees(h)[0])
+            if not points:
+                out.append(labels)
+                continue
+        # The median keeps the recursion balanced on chain-like inputs.
+        x = points.pop(len(points) // 2)
+        pieces = _strong_pieces(h, (bisect_left(labels, x),))
+        # Pieces meet only at x, so every other point lies in at most one.
+        owner = {v: i for i, piece in enumerate(pieces) for v in piece.origin_labels}
+        shares: list[list[int]] = [[] for _ in pieces]
+        for v in points:
+            if v in owner:
+                shares[owner[v]].append(v)
+        work.extend(zip(pieces, shares))
     return _canonical(out, g.n)
 
 

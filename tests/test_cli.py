@@ -160,7 +160,7 @@ def test_bench_rejects_a_size_above_the_vertex_cap(capsys):
         bench([20, 100_000_000_000], ["split"], 1)
     assert run(["bench", "--sizes", "100000000000", "--reps", "1"]) == 1
     assert capsys.readouterr().err == (
-        "error: InvalidSpec: n=100000000000 is above the cap of 10000000 vertices\n"
+        "error: InvalidSpec: n=100000000000 is above the cap of 1000000 vertices\n"
     )
 
 
@@ -387,6 +387,19 @@ def test_non_ascii_file_names_the_line(tmp_path, capsys):
     path.write_bytes(b"3 3\n# caf\xc3\xa9\n0 1\n1 2\n2 0\n")
     assert run(["scc", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: EdgeListFormatError: line 2 is not ASCII text")
+
+
+def test_a_header_above_the_vertex_cap_exits_1(tmp_path, capsys):
+    # Rejected before anything of size n is allocated; an edgeless header
+    # at the cap already costs a few hundred bytes per vertex.
+    path = tmp_path / "huge.txt"
+    path.write_text("1000001 0\n")
+    assert run(["scc", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: EdgeListFormatError: header '1000001 0' asks for more than 1000000 vertices\n"
+    )
 
 
 def test_missing_file_exit_1(capsys):

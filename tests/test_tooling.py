@@ -87,6 +87,27 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
         or (isinstance(node, ast.Attribute) and node.attr == "_degree_core")
     ]
     assert found == []
+    # ``split`` shares only the articulation test and the piece splitter
+    # with the production engine: it may read no dominator tree, build no
+    # subgraph of its own and prune nothing.
+    module_names = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | set(functions)
+    split_names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for stmt in functions["two_vccs_split"].body
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "_points_and_trees" in split_names
+    assert split_names & module_names <= {
+        "_points_and_trees", "_strong_pieces", "strip_labels", "_canonical", "bisect_left"
+    }
+    forbidden = {"nontrivial_dominators", "root_children", "induced_subgraph", "_degree_core"}
+    assert split_names & forbidden == set()
 
 
 def test_only_the_flow_module_runs_split_network_flows():

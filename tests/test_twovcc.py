@@ -8,6 +8,7 @@ from vconn import (
     is_2vertex_connected,
     is_strongly_connected,
     reverse,
+    sparsify_problem2,
     strongly_connected_components,
     two_vccs,
     two_vccs_containing,
@@ -198,6 +199,82 @@ def test_domtree_runs_one_round_on_uniform_graphs(monkeypatch):
         rounds.clear()
         assert len(two_vccs_domtree(g)) == 1
         assert len(rounds) == 1, seed
+
+
+def _spy_on_tests(monkeypatch):
+    # (piece size, number of points) of every articulation test in twovcc.
+    tests = []
+    real = twovcc._points_and_trees
+
+    def spy(h):
+        result = real(h)
+        tests.append((h.n, len(result[0])))
+        return result
+
+    monkeypatch.setattr(twovcc, "_points_and_trees", spy)
+    return tests
+
+
+def test_split_tests_a_piece_only_when_its_inherited_points_run_out(monkeypatch):
+    # One test on a chain of q cliques finds its q - 1 joints, and the
+    # chain is split at all of them before any piece is tested again, so
+    # each clique then takes one test: q + 1 in all.
+    tests = _spy_on_tests(monkeypatch)
+    for q in (2, 3, 10, 40):
+        g = gen_random(GenSpec(n=3 * q + 1, m=0, model="planted", sizes=(4,) * q))
+        tests.clear()
+        assert len(two_vccs_split(g)) == q
+        assert len(tests) == q + 1, q
+    # The sparsifier's certificate on the benchmark's first planted chain:
+    # 1000 vertices in one test, then 333 cliques of 4.
+    g = gen_random(GenSpec(n=1000, m=4000, model="planted", sizes=(4,) * 333, seed=1000))
+    sparse = from_edge_list(g.n, sparsify_problem2(g).edges)
+    tests.clear()
+    comps = two_vccs_split(sparse)
+    assert len(tests) == 334
+    assert sum(n for n, _ in tests) == 2332
+    assert comps == two_vccs_domtree(sparse)
+
+
+def test_split_at_an_inherited_vertex_that_is_no_longer_a_point(monkeypatch):
+    # After a split, an inherited vertex may be no point of its new piece;
+    # the split at it then returns that piece itself, not a copy, and the
+    # answer must not change.  On these small graphs that happens often.
+    unchanged = []
+    real = twovcc._strong_pieces
+
+    def spy(h, cut=()):
+        pieces = real(h, cut)
+        if cut and [p.n for p in pieces] == [h.n]:
+            assert pieces[0] is h
+            unchanged.append(h.origin_labels)
+        return pieces
+
+    monkeypatch.setattr(twovcc, "_strong_pieces", spy)
+    g = gen_random(GenSpec(n=8, m=16, seed=2, strongly_connected=True))
+    assert two_vccs_split(g) == brute_two_vccs(g) == two_vccs_domtree(g)
+    assert unchanged
+    with_components = 0
+    for i in range(200):
+        n = 6 + i % 7
+        g = gen_random(GenSpec(n=n, m=2 * n, seed=3_000 + i, strongly_connected=True))
+        unchanged.clear()
+        comps = two_vccs_split(g)
+        assert comps == brute_two_vccs(g), i
+        with_components += bool(unchanged and comps)
+    assert with_components >= 2
+
+
+def test_split_takes_new_points_from_a_test_below_the_top(monkeypatch):
+    # Noise edges keep some joints of this chain from being points of the
+    # whole graph; they become points of pieces below it, which a fresh
+    # test on those pieces finds.
+    tests = _spy_on_tests(monkeypatch)
+    g = gen_random(GenSpec(n=1000, m=4000, model="planted", sizes=(4,) * 333, seed=1000))
+    comps = two_vccs_split(g)
+    assert [points for _, points in tests[1:] if points] == [31, 87]
+    monkeypatch.undo()
+    assert comps == two_vccs_domtree(g)
 
 
 def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie):
