@@ -91,7 +91,10 @@ def _scc_ids(
 def _group_components(n: int, comp: Sequence[int]) -> list[list[int]]:
     """Group vertices by component id, skipping deleted vertices (-1).
 
-    Each group is in ascending order, as the scan fills it by ascending v.
+    Each group is in ascending order, as the scan fills it by ascending v,
+    and the groups come out ordered by smallest member, as a group is
+    created at its smallest member; ``strongly_connected_components``
+    relies on that order.
     """
     buckets: dict[int, list[int]] = {}
     for v in range(n):
@@ -165,7 +168,7 @@ def _degree_core(h: DiGraph, k: int) -> list[int] | None:
 def strongly_connected_components(g: DiGraph) -> SccPartition:
     """Maximal strongly connected vertex sets, canonically ordered."""
     comp, _ = _scc_ids(g.n, g.out_adj)
-    groups = sorted(_group_components(g.n, comp))
+    groups = _group_components(g.n, comp)
     component_id = [0] * g.n
     for i, grp in enumerate(groups):
         for v in grp:
@@ -175,8 +178,6 @@ def strongly_connected_components(g: DiGraph) -> SccPartition:
 
 def is_strongly_connected(g: DiGraph) -> bool:
     """True iff g has exactly one SCC (and at least one vertex)."""
-    if g.n == 0:
-        return False
     _, ncomp = _scc_ids(g.n, g.out_adj)
     return ncomp == 1
 

@@ -85,26 +85,21 @@ class DiGraph:
 
 
 class UndirectedGraph:
-    """Immutable undirected graph; edges are deduplicated unordered pairs."""
+    """Immutable undirected graph; edges are deduplicated unordered pairs.
+
+    It is built as the symmetric DiGraph of its pairs, so the range check,
+    loop drop and sorted rows are DiGraph's: ``adj`` is that graph's
+    out-adjacency and ``edges`` its edges (u, v) with u < v.
+    """
 
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, pairs: Iterable[Edge]):
-        if n < 0:
-            raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
+        # (u, v) comes before (v, u), so a bad pair is named as given.
+        shadow = DiGraph(n, (e for u, v in pairs for e in ((u, v), (v, u))))
         self.n = n
-        seen: set[Edge] = set()
-        for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            if u != v:
-                seen.add((min(u, v), max(u, v)))
-        self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(row)) for row in adj)
+        self.adj: tuple[tuple[int, ...], ...] = shadow.out_adj
+        self.edges: tuple[Edge, ...] = tuple((u, v) for u, v in shadow.edges if u < v)
 
     @property
     def m(self) -> int:
@@ -173,6 +168,22 @@ def strip_labels(g: DiGraph) -> DiGraph:
 MAX_VERTICES = 1_000_000
 
 
+def _int_pair(row: list[str], name: str, shape: str) -> tuple[int, int]:
+    """The two decimal integers of the tokens ``row`` of a header or edge
+    line; ``name`` and ``shape`` word its errors."""
+    if len(row) != 2:
+        raise EdgeListFormatError(f"{name} must be {shape}, got {' '.join(row)!r}")
+    try:
+        pair = int(row[0]), int(row[1])
+    except ValueError as exc:
+        raise EdgeListFormatError(f"non-integer {name}: {' '.join(row)!r}") from exc
+    # On ASCII text, isdigit() accepts exactly 0-9, where int() also takes
+    # a sign and underscores.
+    if not (row[0].isdigit() and row[1].isdigit()):
+        raise EdgeListFormatError(f"non-decimal {name}: {' '.join(row)!r}")
+    return pair
+
+
 def read_edge_list(source: str | TextIO) -> DiGraph:
     """Parse the canonical edge-list interchange format."""
     text = source if isinstance(source, str) else source.read()
@@ -188,33 +199,16 @@ def read_edge_list(source: str | TextIO) -> DiGraph:
         rows.append(stripped.split())
     if not rows:
         raise EdgeListFormatError("missing 'n m' header line")
-    header = rows[0]
-    if len(header) != 2:
-        raise EdgeListFormatError(f"header must be 'n m', got {' '.join(header)!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise EdgeListFormatError(f"non-integer header: {' '.join(header)!r}") from exc
-    # On ASCII text, isdigit() accepts exactly 0-9, where int() also takes
-    # a sign and underscores.
-    if not (header[0].isdigit() and header[1].isdigit()):
-        raise EdgeListFormatError(f"non-decimal header: {' '.join(header)!r}")
+    n, m = _int_pair(rows[0], "header", "'n m'")
     if n > MAX_VERTICES:
         raise EdgeListFormatError(
-            f"header {' '.join(header)!r} asks for more than {MAX_VERTICES} vertices"
+            f"header {' '.join(rows[0])!r} asks for more than {MAX_VERTICES} vertices"
         )
     if len(rows) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     pairs: set[Edge] = set()
     for row in rows[1:]:
-        if len(row) != 2:
-            raise EdgeListFormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
-        try:
-            pair = (int(row[0]), int(row[1]))
-        except ValueError as exc:
-            raise EdgeListFormatError(f"non-integer edge line: {' '.join(row)!r}") from exc
-        if not (row[0].isdigit() and row[1].isdigit()):
-            raise EdgeListFormatError(f"non-decimal edge line: {' '.join(row)!r}")
+        pair = _int_pair(row, "edge line", "'u v'")
         # The header's m must be the graph's edge count, so no line may be
         # merged away by the DiGraph canonicalisation.
         if pair[0] == pair[1]:

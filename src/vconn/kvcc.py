@@ -243,7 +243,8 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
             out.append(h.origin_labels)
         else:
             work.extend(_strong_pieces(h, cut))
-    return sorted(set(out))
+    # No piece is output twice: see the third point above.
+    return sorted(out)
 
 
 def three_vccs(g: DiGraph) -> ComponentList:

@@ -29,8 +29,9 @@ Menger's theorem.  So one Menger flow capped at k
 before it is k-vertex-connected, which every accepted deletion preserves.
 The flow runs on the current edge set's own adjacency: the loop keeps one
 mutable copy of the rows, scans the candidates in descending (u, v)
-order, removes each from its tail's row for the test and puts it back in
-place on a reject, so the flow sees exactly D - e.
+order, removes each from its tail's row for the test and appends it back
+on a reject, so the flow sees exactly D - e.  Row order is free: a flow
+value does not depend on the order in which a row lists its edges.
 
 Every result carries a recomputed certificate so that validity never
 rests on the construction being right: the components are built with
@@ -188,25 +189,21 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     return tuple(e for e, arc in zip(edges, edge_arcs) if cap[arc] > 0)
 
 
-def _prune(rows: list[list[int]], edges, still_ok, keep=()) -> tuple[Edge, ...]:
+def _prune(rows: list[list[int]], candidates, still_ok) -> tuple[Edge, ...]:
     """Delete from the graph with out-adjacency ``rows`` every edge of
-    ``edges`` outside ``keep`` whose removal ``still_ok(rows, u, v)``
-    accepts; returns the kept edges in ascending order.
+    ``candidates`` whose removal ``still_ok(rows, u, v)`` accepts; returns
+    the kept edges in ascending order.
 
-    ``edges`` is ascending and the scan runs it backwards, in descending
-    (u, v) order.  Each candidate leaves its tail's row for the test and
-    goes back to the same place on a reject, so the test sees exactly the
-    current edge set minus (u, v).
+    ``candidates`` is ascending and the scan runs it backwards, in
+    descending (u, v) order.  Each candidate leaves its tail's row for the
+    test and is appended back on a reject, so the test sees exactly the
+    current edge set minus (u, v), in some row order.
     """
-    for u, v in reversed(edges):
-        if (u, v) in keep:
-            continue
-        row = rows[u]
-        i = row.index(v)
-        del row[i]
+    for u, v in reversed(candidates):
+        rows[u].remove(v)
         if not still_ok(rows, u, v):
-            row.insert(i, v)
-    return tuple((u, v) for u, row in enumerate(rows) for v in row)
+            rows[u].append(v)
+    return tuple(sorted((u, v) for u, row in enumerate(rows) for v in row))
 
 
 def _edge_set_is_2vc(out_adj: list[list[int]], u: int, v: int) -> bool:
@@ -243,7 +240,8 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     (see the module docstring).
     """
     core = set(min_degree2_subgraph(g))
-    return _prune([list(row) for row in g.out_adj], g.edges, _edge_set_is_2vc, core)
+    candidates = [e for e in g.edges if e not in core]
+    return _prune([list(row) for row in g.out_adj], candidates, _edge_set_is_2vc)
 
 
 def _dfs_tree(adj) -> list[Edge]:
@@ -301,7 +299,9 @@ def _retain_components(
     for comp in comps:
         sub = induced_subgraph(g, comp)
         labels = sub.origin_labels
-        kept = tuple(sorted((labels[u], labels[v]) for u, v in approx_2vcss(sub)))
+        # Both are ascending: the edges, and the labels of a subgraph of a
+        # label-free graph, so the mapped edges are too.
+        kept = tuple((labels[u], labels[v]) for u, v in approx_2vcss(sub))
         per_component.append(kept)
         retained.update(kept)
     return tuple(per_component), retained

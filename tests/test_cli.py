@@ -141,6 +141,13 @@ def test_bad_arguments_exit_nonzero_without_traceback(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_bench_rejects_a_non_integer_repeat_count(capsys):
+    assert run(["bench", "--sizes", "20", "--reps", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--reps: expected a positive integer, got 'abc'" in captured.err
+
+
 def test_gen_uniform_rejects_sizes(capsys):
     assert run(["gen", "-n", "5", "-m", "3", "--sizes", "2,2"]) == 1
     captured = capsys.readouterr()

@@ -1,4 +1,6 @@
+import io
 import random
+import re
 
 import pytest
 
@@ -46,6 +48,26 @@ def test_from_edge_list_rejects_out_of_range():
         UndirectedGraph(-1, [])
     with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\) outside \[0, 2\)"):
         UndirectedGraph(2, [(0, 5)])
+
+
+def test_undirected_graph_canonicalises_its_pairs():
+    # Repeats, both orientations and loops collapse to one sorted edge
+    # per unordered pair, with symmetric sorted rows.
+    u = UndirectedGraph(5, [(3, 1), (1, 3), (1, 3), (2, 2), (0, 4), (4, 0), (3, 0), (4, 4)])
+    assert u.n == 5
+    assert u.edges == ((0, 3), (0, 4), (1, 3))
+    assert u.adj == ((3, 4), (3,), (), (0, 1), (0,))
+    assert u.m == 3
+    assert repr(u) == "UndirectedGraph(n=5, m=3)"
+    empty = UndirectedGraph(0, [])
+    assert (empty.edges, empty.adj, repr(empty)) == ((), (), "UndirectedGraph(n=0, m=0)")
+
+
+def test_undirected_graph_names_a_bad_pair_as_given():
+    for pair in [(2, 7), (7, 2), (-1, 0), (0, -1), (3, 3)]:
+        message = f"edge ({pair[0]}, {pair[1]}) outside [0, 3)"
+        with pytest.raises(VertexOutOfRange, match=re.escape(message)):
+            UndirectedGraph(3, [(0, 1), (1, 0), pair, (9, 9)])
 
 
 def test_adjacency_is_transpose(fig1):
@@ -172,6 +194,43 @@ def test_edge_list_comments_and_errors():
     # Longer than int()'s digit limit.
     with pytest.raises(EdgeListFormatError, match="non-integer header"):
         read_edge_list("1" * 5000 + " 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n", "header must be 'n m', got '2'"),
+        ("2 1 0\n0 1\n", "header must be 'n m', got '2 1 0'"),
+        ("2 one\n0 1\n", "non-integer header: '2 one'"),
+        ("2 -1\n", "non-decimal header: '2 -1'"),
+        ("2 1\n0\n", "edge line must be 'u v', got '0'"),
+        ("3 1\n0  1\t2\n", "edge line must be 'u v', got '0 1 2'"),
+        ("3 1\n0 1.0\n", "non-integer edge line: '0 1.0'"),
+        ("3 1\n0 +1\n", "non-decimal edge line: '0 +1'"),
+    ],
+)
+def test_each_line_fault_has_its_own_message(text, message):
+    with pytest.raises(EdgeListFormatError) as info:
+        read_edge_list(text)
+    assert str(info.value) == message
+    # Only int()'s own failure is chained.
+    is_chained = message.startswith("non-integer")
+    assert isinstance(info.value.__cause__, ValueError) is is_chained
+
+
+def test_edge_list_reads_a_stream_as_its_text(fig1):
+    for text in [format_edge_list(fig1), "# c\n3 2\n\n 0 1 \n2 1\n", "0 0\n"]:
+        assert read_edge_list(io.StringIO(text)) == read_edge_list(text)
+    with pytest.raises(EdgeListFormatError, match="repeated edge line: '0 1'"):
+        read_edge_list(io.StringIO("2 2\n0 1\n0 1\n"))
+
+
+def test_equal_graphs_hash_equal(fig1):
+    copy = read_edge_list(format_edge_list(fig1))
+    assert copy is not fig1 and copy == fig1
+    assert hash(copy) == hash(fig1)
+    assert len({fig1, copy, reverse(reverse(fig1))}) == 1
+    assert len({fig1, reverse(fig1)}) == 2
 
 
 def test_header_vertex_count_is_capped(monkeypatch):

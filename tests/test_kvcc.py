@@ -266,6 +266,32 @@ def test_no_output_contains_another():
         assert _maximal_only(comps) == comps
 
 
+def test_outputs_are_distinct_without_deduplication():
+    # k_vccs returns its outputs sorted but not deduplicated: pieces of
+    # different branches share fewer than k vertices, and each output has
+    # more than k.
+    graphs = mixed_corpus(60, base_seed=116_100, max_n=9)
+    graphs += [gen_random(spec) for spec in ABOVE_ORACLE_SPECS]
+    outputs = 0
+    for g in graphs:
+        for k in (3, 4):
+            comps = k_vccs(g, k)
+            assert len(set(comps)) == len(comps)
+            assert all(len(c) > k for c in comps)
+            outputs += len(comps)
+    assert outputs > 40
+
+
+def test_the_cut_walk_stops_at_an_empty_separator():
+    # Two bidirected triangles: no pair of them is joined, so the first
+    # flowed pair across them has the empty separator, which ends the walk
+    # (a threshold of 0 admits no smaller cut).
+    g = from_edge_list(6, bidirected([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    assert not is_strongly_connected(g)
+    assert list(vconn.kvcc._cuts_below(g, 3)) == [()]
+    assert not is_k_vertex_connected(g, 3)
+
+
 def _k_connected_by_dominators(h, k):
     # h minus any k-2 vertices stays 2-vertex-connected, tested with the
     # dominator-based articulation points rather than the flow code.

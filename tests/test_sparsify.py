@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import combinations
 
@@ -418,6 +419,43 @@ def test_flow_deletion_test_matches_full_check():
             assert kept == full_check_loop(piece)
             deletions += piece.m - len(kept)
     assert deletions > 1000
+
+
+def _shuffled_rows(rows, rng):
+    rows = [list(row) for row in rows]
+    for row in rows:
+        rng.shuffle(row)
+    return rows
+
+
+def test_pruning_keeps_the_same_edges_from_shuffled_rows():
+    # A rejected candidate goes back to the end of its row, so the rows
+    # lose their order; each deletion test reads a flow value, which no
+    # row order changes.  So rows shuffled first keep the same edges, at
+    # k = 2 (approx_2vcss) and at k = 1 (approx_mscss).
+    from vconn.sparsify import _edge_set_is_2vc, _edge_set_is_strongly_connected, _prune
+
+    rng = random.Random(179_000)
+    graphs = [clique_cycle(179_000 + i) for i in range(4)]
+    graphs += [gen_random(GenSpec(n=40, m=200, seed=179_100 + i, strongly_connected=True))
+               for i in range(4)]
+    deletions = {1: 0, 2: 0}
+    for g in graphs:
+        for comp in two_vccs(g):
+            piece = induced_subgraph(g, comp)
+            core = set(min_degree2_subgraph(piece))
+            candidates = [e for e in piece.edges if e not in core]
+            kept = _prune(_shuffled_rows(piece.out_adj, rng), candidates, _edge_set_is_2vc)
+            assert kept == approx_2vcss(piece)
+            deletions[2] += piece.m - len(kept)
+        union = sorted(_arborescence_union(g))
+        rows = [[] for _ in range(g.n)]
+        for u, v in union:
+            rows[u].append(v)
+        kept = _prune(_shuffled_rows(rows, rng), union, _edge_set_is_strongly_connected)
+        assert kept == approx_mscss(g)
+        deletions[1] += len(union) - len(kept)
+    assert deletions[1] > 100 and deletions[2] > 1000
 
 
 def test_deletion_loop_builds_one_split_network(monkeypatch):

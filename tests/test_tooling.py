@@ -236,3 +236,51 @@ def test_every_traced_layer_resolves_and_only_the_cli_prints():
         and node.func.id == "print"
     ]
     assert printing == []
+
+
+def _function(module, qualname):
+    """The AST of a top-level function or method of a library module."""
+    node = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    for name in qualname.split("."):
+        node = next(
+            child
+            for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name
+        )
+    return node
+
+
+def test_graph_types_share_one_canonicaliser():
+    # ``UndirectedGraph`` is the symmetric ``DiGraph`` of its pairs: it
+    # keeps no range check, dedup set or sort of its own.
+    init = _function("graph.py", "UndirectedGraph.__init__")
+    called = {
+        node.func.id
+        for node in ast.walk(init)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "DiGraph" in called
+    assert called & {"sorted", "set"} == set()
+    # The edge-range message is raised in one place, by DiGraph.
+    tree = ast.parse((SRC / "graph.py").read_text(encoding="utf-8"))
+    edge_range = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "VertexOutOfRange"
+        and isinstance(node.exc.args[0], ast.JoinedStr)
+        and isinstance(node.exc.args[0].values[0], ast.Constant)
+        and node.exc.args[0].values[0].value.startswith("edge (")
+    ]
+    assert len(edge_range) == 1
+    init = _function("graph.py", "DiGraph.__init__")
+    assert init.lineno < edge_range[0] < init.end_lineno
+
+
+def test_the_deletion_loop_takes_only_its_candidates():
+    # ``_prune`` scans exactly the candidates it is given; a caller drops
+    # the edges it must keep before the call.
+    args = _function("sparsify.py", "_prune").args
+    assert [a.arg for a in args.args] == ["rows", "candidates", "still_ok"]
+    assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
