@@ -1,7 +1,8 @@
 """Command-line front end and the empirical-scaling benchmark harness.
 
 Exit codes: 0 success, 1 domain errors (message names the error class on
-stderr), 2 usage errors.
+stderr; a failed sparsifier certificate is ``MismatchedOutputs``), 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def _domtree_text(value: dict) -> list[str]:
 
 def _sparsify(g: DiGraph, args) -> dict:
     result = {1: sparsify_problem1, 2: sparsify_problem2, 3: sparsify_problem3}[args.problem](g)
+    # The certificate is the split engine's recomputation of what the
+    # domtree engine built; a disagreement is an engine fault.
+    if not result.certificate_ok:
+        raise MismatchedOutputs(f"problem {args.problem}'s certificate failed on {g!r}")
     return {"n": g.n, "edges": result.edges, "retained": result.size, "of": g.m,
             "certificate_ok": result.certificate_ok}
 

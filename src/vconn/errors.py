@@ -42,7 +42,7 @@ class InvalidSpec(GraphError):
 
 
 class MismatchedOutputs(GraphError):
-    """Benchmarked algorithms disagreed on the same input graph."""
+    """Two algorithms disagreed on the same input graph."""
 
 
 class EdgeListFormatError(GraphError):

@@ -89,7 +89,8 @@ class UndirectedGraph:
 
     It is built as the symmetric DiGraph of its pairs, so the range check,
     loop drop and sorted rows are DiGraph's: ``adj`` is that graph's
-    out-adjacency and ``edges`` its edges (u, v) with u < v.
+    out-adjacency and ``edges`` its pairs (u, v) with u < v, read from the
+    rows in the order of DiGraph's edges.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -99,7 +100,7 @@ class UndirectedGraph:
         shadow = DiGraph(n, (e for u, v in pairs for e in ((u, v), (v, u))))
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = shadow.out_adj
-        self.edges: tuple[Edge, ...] = tuple((u, v) for u, v in shadow.edges if u < v)
+        self.edges = tuple((u, v) for u, row in enumerate(self.adj) for v in row if u < v)
 
     @property
     def m(self) -> int:

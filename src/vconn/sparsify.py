@@ -33,13 +33,23 @@ order, removes each from its tail's row for the test and appends it back
 on a reject, so the flow sees exactly D - e.  Row order is free: a flow
 value does not depend on the order in which a row lists its edges.
 
+Each vertex set's 2-vertex-connectivity is decided once.  The public
+``min_degree2_subgraph`` and ``approx_2vcss`` check their input, which
+comes from outside.  The sparsifiers do not re-check the components that
+``two_vccs_domtree`` built: it outputs a piece only once its articulation
+test finds no strong articulation point, so each is 2-vertex-connected.
+
 Every result carries a recomputed certificate so that validity never
 rests on the construction being right: the components are built with
 ``two_vccs_domtree`` once per graph and the certificates are recomputed
-once each with ``two_vccs_split``, a different engine.  ``split`` cuts a
-piece at every strong articulation point one test finds before it tests
-a piece again, so on a bare chain of q cliques a certificate costs
-q + 1 articulation tests: one on the whole chain, one per clique.
+once each with ``two_vccs_split``, a different engine.  Were the engine
+to output a set that is not 2-vertex-connected, ``split`` could not
+return it for the retained graph either (a set 2-vertex-connected there
+is so in g, which only has more edges), and ``certificate_ok`` is False;
+``vconn sparsify`` exits 1 on it.  ``split`` cuts a piece at every
+strong articulation point one test finds before it tests a piece again,
+so on a bare chain of q cliques a certificate costs q + 1 articulation
+tests: one on the whole chain, one per clique.
 """
 
 from __future__ import annotations
@@ -156,9 +166,19 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     end with no length-3 path.  From that identical residual network
     Edmonds-Karp makes the same remaining augmentations, so the same edge
     arcs end saturated.
+
+    g must be 2-vertex-connected, which this public entry point checks;
+    the sparsifiers call ``_min_degree2_edges`` on the components that
+    ``two_vccs_domtree`` has already proved 2-vertex-connected.
     """
     if not is_2vertex_connected(g):
         raise NotTwoVertexConnected(f"{g!r} is not 2-vertex-connected")
+    return _min_degree2_edges(g)
+
+
+def _min_degree2_edges(g: DiGraph) -> tuple[Edge, ...]:
+    """``min_degree2_subgraph`` of a g known to be 2-vertex-connected,
+    without the check."""
     n = g.n
     edges = g.edges
     source, sink = 0, 1
@@ -234,12 +254,21 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     descending (u, v) order.  Deletions only get harder as edges go, so a
     single pass reaches a deletion-minimal superset of the core.
 
-    g must be 2-vertex-connected (``min_degree2_subgraph`` checks it), and
-    each accepted deletion keeps it so; that is the precondition under
-    which one capped flow on the kept edges decides each deletion exactly
-    (see the module docstring).
+    g must be 2-vertex-connected: this public entry point checks it
+    through ``min_degree2_subgraph``, and the sparsifiers call
+    ``_prune_to_2vcss`` on the components that ``two_vccs_domtree`` has
+    already proved so.
     """
-    core = set(min_degree2_subgraph(g))
+    return _prune_to_2vcss(g, set(min_degree2_subgraph(g)))
+
+
+def _prune_to_2vcss(g: DiGraph, core: set[Edge]) -> tuple[Edge, ...]:
+    """``approx_2vcss`` of a 2-vertex-connected g from its degree-2 core.
+
+    Each accepted deletion keeps g 2-vertex-connected; that is the
+    precondition under which one capped flow on the kept edges decides
+    each deletion exactly (see the module docstring).
+    """
     candidates = [e for e in g.edges if e not in core]
     return _prune([list(row) for row in g.out_adj], candidates, _edge_set_is_2vc)
 
@@ -293,18 +322,21 @@ def _retain_components(
     g: DiGraph, comps: ComponentList
 ) -> tuple[tuple[tuple[Edge, ...], ...], set[Edge]]:
     """Problem 1's edges: an approximate 2-VCSS of every component of g,
-    per component and united."""
+    per component and united.
+
+    ``comps`` come from ``two_vccs_domtree``, which outputs a piece only
+    once its articulation test finds no strong articulation point, so
+    each induced subgraph is 2-vertex-connected and is not tested again.
+    """
     per_component: list[tuple[Edge, ...]] = []
-    retained: set[Edge] = set()
     for comp in comps:
         sub = induced_subgraph(g, comp)
         labels = sub.origin_labels
+        kept = _prune_to_2vcss(sub, set(_min_degree2_edges(sub)))
         # Both are ascending: the edges, and the labels of a subgraph of a
         # label-free graph, so the mapped edges are too.
-        kept = tuple((labels[u], labels[v]) for u, v in approx_2vcss(sub))
-        per_component.append(kept)
-        retained.update(kept)
-    return tuple(per_component), retained
+        per_component.append(tuple((labels[u], labels[v]) for u, v in kept))
+    return tuple(per_component), set().union(*per_component)
 
 
 def sparsify_problem1(g: DiGraph) -> SparsifyResult:

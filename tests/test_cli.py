@@ -182,6 +182,26 @@ def test_sparsify_output(fig1_file, capsys):
     assert payload["retained"] == 17 and payload["certificate_ok"]
 
 
+def test_sparsify_exits_1_on_a_failed_certificate(tmp_path, monkeypatch, capsys):
+    # A deletion test that accepts everything leaves too few edges; the
+    # split engine's certificate catches it, and the command prints nothing.
+    import vconn.sparsify as sp
+
+    g = gen_random(GenSpec(n=51, m=51, model="planted", seed=173_000,
+                           sizes=(6,) * 10, strongly_connected=True))
+    path = tmp_path / "chain.txt"
+    path.write_text(format_edge_list(g))
+    assert run(["sparsify", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sp, "_edge_set_is_2vc", lambda *args: True)
+    for problem in ("1", "2", "3"):
+        for extra in ([], ["--json"]):
+            assert run(["sparsify", "--problem", problem, *extra, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: MismatchedOutputs: ")
+
+
 # Problems 1 and 3 keep the same 14 edges of fig1.
 FIG1_SPARSE = "8 14\n0 3\n0 4\n0 6\n0 7\n3 0\n3 5\n4 0\n4 5\n5 3\n5 4\n6 0\n6 7\n7 0\n7 6\n"
 FIG1_SPARSE_JSON = (

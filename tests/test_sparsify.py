@@ -494,3 +494,83 @@ def test_certificate_catches_a_deletion_test_that_accepts_everything(monkeypatch
     assert sparsify_problem1(g).certificate_ok
     monkeypatch.setattr(sp, "_edge_set_is_2vc", lambda *args: True)
     assert sparsify_problem1(g).certificate_ok is False
+
+
+def _count_is_2vc_calls(monkeypatch, call):
+    """The number of ``is_2vertex_connected`` calls that sparsify makes
+    while ``call()`` runs, and call's result."""
+    import vconn.sparsify as sp
+
+    calls = []
+    is_2vc = sp.is_2vertex_connected
+
+    def spy(h):
+        calls.append(h)
+        return is_2vc(h)
+
+    monkeypatch.setattr(sp, "is_2vertex_connected", spy)
+    try:
+        result = call()
+        return len(calls), result
+    finally:
+        monkeypatch.undo()
+
+
+def test_sparsifiers_take_2_vertex_connectivity_from_the_engine(monkeypatch):
+    # Every component comes from two_vccs_domtree, which proved it
+    # 2-vertex-connected; the sparsifiers do not test it again.
+    graphs = [clique_cycle(180_000 + i) for i in range(3)]
+    graphs += [gen_random(GenSpec(n=40, m=60, model="planted", seed=180_050 + i,
+                                  sizes=(4,) * 13)) for i in range(3)]
+    graphs += [gen_random(GenSpec(n=60, m=240, seed=180_100 + i, strongly_connected=True))
+               for i in range(3)]
+    pieces = 0
+    for g in graphs:
+        for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
+            calls, result = _count_is_2vc_calls(monkeypatch, lambda: solver(g))
+            assert calls == 0
+            assert result.certificate_ok
+            pieces += len(result.components)
+    assert pieces > 50
+
+
+def test_public_entry_points_check_their_input_once(monkeypatch, tri, k4b):
+    c3 = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+    two_cycle = from_edge_list(2, [(0, 1), (1, 0)])
+    for func in (min_degree2_subgraph, approx_2vcss):
+        chain = clique_cycle(181_000)
+        for good in (tri, k4b, induced_subgraph(chain, two_vccs(chain)[0])):
+            calls, kept = _count_is_2vc_calls(monkeypatch, lambda: func(good))
+            assert calls == 1 and len(kept) <= good.m
+        for bad in (c3, two_cycle):
+            with pytest.raises(NotTwoVertexConnected):
+                _count_is_2vc_calls(monkeypatch, lambda: func(bad))
+
+
+def test_certificate_catches_an_engine_that_merges_two_components(monkeypatch):
+    # Two adjacent 4-cliques of a bare chain share one vertex, a strong
+    # articulation point, so their union is not 2-vertex-connected.  No
+    # guard re-tests the merged piece; the split engine's certificate
+    # rejects it, in all three problems, without raising.
+    import vconn.sparsify as sp
+
+    domtree = sp.two_vccs_domtree
+
+    def merging(h):
+        comps = domtree(h)
+        if len(comps) < 2:
+            return comps
+        merged = tuple(sorted(set(comps[0]) | set(comps[1])))
+        return sorted([merged, *comps[2:]])
+
+    failed = 0
+    for seed in range(182_000, 182_005):
+        g = gen_random(GenSpec(n=40, m=40, model="planted", seed=seed, sizes=(4,) * 13))
+        for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
+            assert solver(g).certificate_ok
+            monkeypatch.setattr(sp, "two_vccs_domtree", merging)
+            result = solver(g)
+            monkeypatch.undo()
+            assert not is_2vertex_connected(induced_subgraph(g, result.components[0]))
+            failed += result.certificate_ok is False
+    assert failed == 15

@@ -112,7 +112,7 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
 
 def test_only_the_flow_module_runs_split_network_flows():
     # ``FlowNetwork.max_flow`` runs only the degree-2 core's budget
-    # network, which ``min_degree2_subgraph`` builds; every
+    # network, which ``_min_degree2_edges`` builds; every
     # vertex-disjoint-path question goes through ``_flow._min_st_vertex_cut``
     # on the graph's own adjacency, so no other module runs a flow of its
     # own.
@@ -124,7 +124,7 @@ def test_only_the_flow_module_runs_split_network_flows():
             allowed = {
                 node
                 for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and fn.name == "min_degree2_subgraph"
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_min_degree2_edges"
                 for node in ast.walk(fn)
             }
         found += [
@@ -197,12 +197,32 @@ def test_one_vertex_cut_kernel_and_one_flow_network():
     # Every vertex cut comes from one Menger flow on the graph's own
     # adjacency; a second vertex-cut kernel, or a split network built on
     # ``FlowNetwork``, would duplicate it.
-    assert set(_calls_by_function("FlowNetwork")) == {("sparsify.py", "min_degree2_subgraph")}
+    assert set(_calls_by_function("FlowNetwork")) == {("sparsify.py", "_min_degree2_edges")}
     assert set(_calls_by_function("_min_st_vertex_cut")) == {
         ("kvcc.py", "_cuts_below"),
         ("sparsify.py", "_edge_set_is_2vc"),
         ("sparsify.py", "_edge_set_is_strongly_connected"),
     }
+
+
+def test_only_the_public_degree2_entry_point_tests_2_vertex_connectivity():
+    # The sparsifiers take each component's 2-vertex-connectivity from the
+    # engine that built it; only ``min_degree2_subgraph`` (and through it
+    # ``approx_2vcss``) tests input that comes from outside.
+    tree = ast.parse((SRC / "sparsify.py").read_text(encoding="utf-8"))
+    inside = {
+        node: fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    found = {
+        inside.get(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "is_2vertex_connected")
+        or (isinstance(node, ast.Attribute) and node.attr == "is_2vertex_connected")
+    }
+    assert found == {"min_degree2_subgraph"}
 
 
 def test_every_traced_layer_resolves_and_only_the_cli_prints():
