@@ -56,7 +56,7 @@ search.
 ``max_flow``, pushing one unit per augmenting path and returning the
 labels of its last search with the flow (the kernel's tests read a built
 split network's separators from them).  Only
-``sparsify.min_degree2_subgraph`` builds one, for its bipartite budget
+``sparsify._min_degree2_edges`` builds one, for its bipartite budget
 network: every source->sink path there crosses an edge arc of capacity 1
 or the residual of one.  It seeds the flow greedily before calling
 ``max_flow``, but a seeded unit is one length-3 path s->u->v'->t, so each

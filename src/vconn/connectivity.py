@@ -115,10 +115,6 @@ def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
     has fewer than k vertices.
     """
     comp, ncomp = _scc_ids(h.n, h.out_adj, skip=cut)
-    if cut and ncomp == 1:
-        # h minus cut is one SCC, so rejoining the cut gives back all of h:
-        # no copy of it is built.
-        return _strong_pieces(h)
     if cut:
         return [
             piece
@@ -188,12 +184,17 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
     Every block of size >= 2 is reported, so bridges appear as pairs.
     Isolated vertices contribute nothing.  Output is canonical: each set
     sorted ascending, list sorted lexicographically.
+
+    The search keeps its open vertices, not its edges (Hopcroft-Tarjan in
+    vertex-stack form): each non-root vertex is pushed when discovered,
+    and when a tree child v of p has low[v] >= disc[p], the block is p
+    with every vertex popped down to v.
     """
     n = u.n
     adj = u.adj
     disc = [-1] * n
     low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
+    open_vertices: list[int] = []
     blocks: list[tuple[int, ...]] = []
     counter = 0
     for root in range(n):
@@ -209,25 +210,19 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
-                    edge_stack.append((v, w))
+                    open_vertices.append(w)
                     stack.append((w, v, iter(adj[w])))
                     break
-                if w != p and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                if w != p and disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
                 stack.pop()
                 if stack:
                     if low[v] < low[p]:
                         low[p] = low[v]
                     if low[v] >= disc[p]:
-                        members: set[int] = set()
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            members.add(e[0])
-                            members.add(e[1])
-                            if e == (p, v):
-                                break
-                        blocks.append(tuple(sorted(members)))
+                        block = [p]
+                        while block[-1] != v:
+                            block.append(open_vertices.pop())
+                        blocks.append(tuple(sorted(block)))
     return sorted(blocks)

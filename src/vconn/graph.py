@@ -5,7 +5,8 @@ Vertices are dense integers 0..n-1.  Construction canonicalises the edge
 set: self-loops are dropped, duplicate ordered pairs are collapsed, and
 adjacency lists are kept sorted, so equal inputs always produce identical
 graphs.  Subgraphs are compact re-indexed copies carrying ``origin_labels``
-that map each local id back to an id of the graph the chain started from.
+that map each local id back to an id of the graph the chain started from;
+a subgraph of every vertex is the graph itself.
 """
 
 from __future__ import annotations
@@ -124,11 +125,15 @@ def induced_subgraph(g: DiGraph, s: Iterable[int]) -> DiGraph:
     """Compact copy of the subgraph induced by vertex set ``s``.
 
     Local ids 0..|s|-1 are assigned in ascending order of the ids in g, and
-    origin_labels compose through g's labels.
+    origin_labels compose through g's labels.  A set of every vertex of g
+    returns g itself: the copy would have g's rows and labels, and a
+    DiGraph is immutable, so no caller needs to avoid that case.
     """
     keep = sorted(set(s))
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise VertexOutOfRange(f"vertex set not within [0, {g.n})")
+    if len(keep) == g.n:
+        return g
     index = {v: i for i, v in enumerate(keep)}
     out_adj = tuple(
         tuple(index[w] for w in g.out_adj[v] if w in index) for v in keep

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Sequence
 
 from . import graph
 from .dominators import dominator_tree
@@ -190,6 +191,24 @@ def brute_min_vertex_cut(g: DiGraph) -> tuple[int, ...]:
     raise NoCutExists("no cut found")  # unreachable for non-complete inputs
 
 
+def _fewest_edges(
+    n: int, edges: Sequence[Edge], first: int, holds: Callable[[list[int], list[int]], bool]
+) -> tuple[Edge, ...]:
+    """The first subset of ``edges``, by size from ``first`` up and then in
+    ``combinations`` order, whose out/in masks satisfy ``holds``; all of
+    ``edges`` when no subset does."""
+    for size in range(first, len(edges) + 1):
+        for subset in combinations(edges, size):
+            out = [0] * n
+            inn = [0] * n
+            for u, w in subset:
+                out[u] |= 1 << w
+                inn[w] |= 1 << u
+            if holds(out, inn):
+                return subset
+    return tuple(edges)
+
+
 def brute_mscss(g: DiGraph) -> tuple[Edge, ...]:
     """Minimum strongly connected spanning edge set, by enumeration."""
     if g.m > MAX_ORACLE_EDGES:
@@ -200,17 +219,7 @@ def brute_mscss(g: DiGraph) -> tuple[Edge, ...]:
         raise NotStronglyConnected("oracle input must be strongly connected")
     if g.n <= 1:
         return ()
-    edges = sorted(g.edges)
-    for size in range(g.n, len(edges) + 1):
-        for subset in combinations(edges, size):
-            sout = [0] * g.n
-            sinn = [0] * g.n
-            for u, w in subset:
-                sout[u] |= 1 << w
-                sinn[w] |= 1 << u
-            if _subset_strongly_connected(sout, sinn, everyone):
-                return subset
-    return tuple(edges)
+    return _fewest_edges(g.n, g.edges, g.n, lambda o, i: _subset_strongly_connected(o, i, everyone))
 
 
 def _brute_min_2vc_edges(n: int, edges: list[Edge]) -> tuple[Edge, ...]:
@@ -218,21 +227,13 @@ def _brute_min_2vc_edges(n: int, edges: list[Edge]) -> tuple[Edge, ...]:
     if len(edges) > MAX_ORACLE_EDGES:
         raise TooLarge(f"oracle limited to m <= {MAX_ORACLE_EDGES}, got {len(edges)}")
     everyone = (1 << n) - 1
-    for size in range(2 * n, len(edges) + 1):
-        for subset in combinations(edges, size):
-            sout = [0] * n
-            sinn = [0] * n
-            ok = True
-            for u, w in subset:
-                sout[u] |= 1 << w
-                sinn[w] |= 1 << u
-            for v in range(n):
-                if bin(sout[v]).count("1") < 2 or bin(sinn[v]).count("1") < 2:
-                    ok = False
-                    break
-            if ok and _is_kvc_subset(sout, sinn, everyone, 2):
-                return subset
-    return tuple(edges)
+
+    def holds(out: list[int], inn: list[int]) -> bool:
+        return all(
+            bin(out[v]).count("1") >= 2 and bin(inn[v]).count("1") >= 2 for v in range(n)
+        ) and _is_kvc_subset(out, inn, everyone, 2)
+
+    return _fewest_edges(n, edges, 2 * n, holds)
 
 
 def _quotient(g: DiGraph) -> tuple[DiGraph, list[tuple[int, ...]], dict[Edge, Edge]]:
@@ -258,7 +259,7 @@ def _quotient(g: DiGraph) -> tuple[DiGraph, list[tuple[int, ...]], dict[Edge, Ed
         for v in cls:
             cls_of[v] = i
     origins: dict[Edge, Edge] = {}
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         cu, cv = cls_of[u], cls_of[v]
         if cu != cv and (cu, cv) not in origins:
             origins[(cu, cv)] = (u, v)
@@ -281,7 +282,7 @@ def brute_opt_sparsifier(g: DiGraph, problem: int) -> tuple[Edge, ...]:
     retained: set[Edge] = set()
     for comp in comps:
         inside = set(comp)
-        local = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
+        local = [e for e in g.edges if e[0] in inside and e[1] in inside]
         index = {v: i for i, v in enumerate(comp)}
         packed = [(index[u], index[v]) for u, v in local]
         chosen = _brute_min_2vc_edges(len(comp), packed)

@@ -121,14 +121,16 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
     One articulation test finds all the points of a piece, and the piece
     is split at each of them in turn: every work item carries, in g's
     ids, the points inherited from the last test above it that its
-    vertices still hold.  A split at any single vertex keeps every
-    component inside one piece, so an inherited vertex that is no longer
-    a point of its piece is harmless: the split at it returns that piece
-    itself, and the vertex is used up.  Only a piece with no inherited
-    points runs a test; with no points it is a component, otherwise its
-    points are inherited anew.  Every split uses up one point, and a test
-    that finds points splits at a real one, so the loop ends.  A chain of
-    q >= 2 cliques takes q + 1 tests: one on the chain, one per clique.
+    vertices still hold.  A split hands each piece the remaining points
+    among its own labels, read in label order, so each share stays
+    ascending.  A split at any single vertex keeps every component inside
+    one piece, so an inherited vertex that is no longer a point of its
+    piece is harmless: the split at it returns that piece itself, and the
+    vertex is used up.  Only a piece with no inherited points runs a test;
+    with no points it is a component, otherwise its points are inherited
+    anew.  Every split uses up one point, and a test that finds points
+    splits at a real one, so the loop ends.  A chain of q >= 2 cliques
+    takes q + 1 tests: one on the chain, one per clique.
     """
     work = [(h, []) for h in _strong_pieces(strip_labels(g))]
     out: list[tuple[int, ...]] = []
@@ -142,14 +144,10 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
                 continue
         # The median keeps the recursion balanced on chain-like inputs.
         x = points.pop(len(points) // 2)
-        pieces = _strong_pieces(h, (bisect_left(labels, x),))
         # Pieces meet only at x, so every other point lies in at most one.
-        owner = {v: i for i, piece in enumerate(pieces) for v in piece.origin_labels}
-        shares: list[list[int]] = [[] for _ in pieces]
-        for v in points:
-            if v in owner:
-                shares[owner[v]].append(v)
-        work.extend(zip(pieces, shares))
+        rest = set(points)
+        for piece in _strong_pieces(h, (bisect_left(labels, x),)):
+            work.append((piece, [v for v in piece.origin_labels if v in rest]))
     return _canonical(out, g.n)
 
 

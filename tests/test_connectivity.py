@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 
 from vconn import (
     dominator_tree,
@@ -152,6 +153,43 @@ def test_blocks_share_at_most_one_vertex():
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 assert len(set(blocks[i]) & set(blocks[j])) <= 1
+
+
+def _brute_blocks(u):
+    """Maximal vertex sets S, |S| >= 2, whose induced undirected subgraph is
+    connected and, for |S| >= 3, stays connected without any one vertex."""
+
+    def connected(members):
+        members = set(members)
+        start = next(iter(members))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in u.adj[stack.pop()]:
+                if w in members and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen == members
+
+    def biconnected(s):
+        if not connected(s):
+            return False
+        return len(s) < 3 or all(connected(set(s) - {v}) for v in s)
+
+    found = [
+        set(s)
+        for size in range(2, u.n + 1)
+        for s in combinations(range(u.n), size)
+        if biconnected(s)
+    ]
+    return sorted(tuple(sorted(s)) for s in found if not any(s < t for t in found))
+
+
+def test_blocks_match_their_definition():
+    # Bridges come out as pairs, and isolated vertices in no block.
+    for g in mixed_corpus(300, max_n=8):
+        u = underlying_undirected(g)
+        assert undirected_biconnected_components(u) == _brute_blocks(u), g.edges
 
 
 def test_blocks_deterministic():

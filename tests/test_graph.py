@@ -110,6 +110,19 @@ def test_induced_subgraph_full_set_is_identity(fig1):
     assert sub.origin_labels == tuple(range(8))
 
 
+def test_a_subgraph_of_every_vertex_is_the_graph_itself(fig1):
+    # A DiGraph is immutable and the copy would carry g's rows and composed
+    # labels, so the constructor returns its input instead of a copy.
+    piece = induced_subgraph(fig1, {0, 3, 4, 5})
+    assert piece.origin_labels == (0, 3, 4, 5)
+    for g in (fig1, piece):
+        labels = g.origin_labels
+        assert induced_subgraph(g, range(g.n)) is g
+        assert induced_subgraph(g, reversed(range(g.n))) is g
+        assert remove_vertices(g, ()) is g
+        assert g.origin_labels == labels
+
+
 def test_induced_subgraph_rejects_bad_vertex(fig1):
     with pytest.raises(VertexOutOfRange):
         induced_subgraph(fig1, {0, 9})

@@ -304,3 +304,20 @@ def test_the_deletion_loop_takes_only_its_candidates():
     args = _function("sparsify.py", "_prune").args
     assert [a.arg for a in args.args] == ["rows", "candidates", "still_ok"]
     assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
+
+
+def test_no_resort_of_a_graphs_sorted_edges():
+    # A DiGraph keeps its rows sorted, so its edges already come in
+    # (u, v) order and ``sorted(g.edges)`` only copies them.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sorted"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "edges"
+    ]
+    assert found == []
