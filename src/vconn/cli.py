@@ -95,8 +95,10 @@ def _domtree_text(value: dict) -> list[str]:
 
 def _sparsify(g: DiGraph, args) -> dict:
     result = {1: sparsify_problem1, 2: sparsify_problem2, 3: sparsify_problem3}[args.problem](g)
-    # The certificate is the split engine's recomputation of what the
-    # domtree engine built; a disagreement is an engine fault.
+    # The certificate is the split engine's recomputation of the retained
+    # graph's components; a disagreement with what the domtree engine built
+    # is an engine fault.  A component the engine left out cannot show:
+    # the retained graph lacks it too.
     if not result.certificate_ok:
         raise MismatchedOutputs(f"problem {args.problem}'s certificate failed on {g!r}")
     return {"n": g.n, "edges": result.edges, "retained": result.size, "of": g.m,

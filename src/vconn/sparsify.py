@@ -33,20 +33,26 @@ order, removes each from its tail's row for the test and appends it back
 on a reject, so the flow sees exactly D - e.  Row order is free: a flow
 value does not depend on the order in which a row lists its edges.
 
-Each vertex set's 2-vertex-connectivity is decided once.  The public
+Problem 1 is one function, ``_problem1``; problem 2 adds one step on
+the coarsened graph, and problem 3 runs ``_problem1`` again on it.  Each
+vertex set's 2-vertex-connectivity is decided once.  The public
 ``min_degree2_subgraph`` and ``approx_2vcss`` check their input, which
-comes from outside.  The sparsifiers do not re-check the components that
-``two_vccs_domtree`` built: it outputs a piece only once its articulation
-test finds no strong articulation point, so each is 2-vertex-connected.
+comes from outside; the sparsifiers take it from the engine, as
+``_problem1`` says.
 
-Every result carries a recomputed certificate so that validity never
-rests on the construction being right: the components are built with
-``two_vccs_domtree`` once per graph and the certificates are recomputed
-once each with ``two_vccs_split``, a different engine.  Were the engine
-to output a set that is not 2-vertex-connected, ``split`` could not
-return it for the retained graph either (a set 2-vertex-connected there
-is so in g, which only has more edges), and ``certificate_ok`` is False;
-``vconn sparsify`` exits 1 on it.  ``split`` cuts a piece at every
+Every result carries a certificate recomputed by a different engine: the
+components are built with ``two_vccs_domtree`` once per graph and the
+certificate's components are recomputed once each with
+``two_vccs_split``.  It proves that the retained graph's components are
+exactly the claimed list.  So it catches a claimed set that is not
+2-vertex-connected, such as a merge of two components: ``split`` could
+not return it for the retained graph either (a set 2-vertex-connected
+there is so in g, which only has more edges).  It also catches a
+deletion that breaks a component.  It does not prove that the claimed
+list is g's: a component or a vertex that the engine leaves out keeps no
+edges, so the retained graph lacks it too and the two lists agree.  A
+failed certificate makes ``certificate_ok`` False, and ``vconn sparsify``
+exits 1 on it.  ``split`` cuts a piece at every
 strong articulation point one test finds before it tests a piece again,
 so on a bare chain of q cliques a certificate costs q + 1 articulation
 tests: one on the whole chain, one per clique.
@@ -81,7 +87,17 @@ class CoarsenedGraph:
 
 @dataclass(frozen=True)
 class SparsifyResult:
-    """Retained edge set plus the data needed to certify it."""
+    """Retained edge set plus the data needed to certify it.
+
+    ``certificate_ok`` holds when ``two_vccs_split`` finds exactly the
+    claimed ``components`` in the retained graph, the retained graph is
+    strongly connected where problem 2 asks it, and for problem 3 ``split``
+    finds exactly the claimed ``coarse_components`` in the retained graph's
+    coarsened graph.  It is False for a claimed set that is not
+    2-vertex-connected, such as a merge, and for a deletion that breaks a
+    component.  It cannot see a component or a vertex that the engine left
+    out of the claimed list, because the retained graph lacks it too.
+    """
 
     problem: int
     edges: tuple[Edge, ...]
@@ -168,8 +184,8 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     arcs end saturated.
 
     g must be 2-vertex-connected, which this public entry point checks;
-    the sparsifiers call ``_min_degree2_edges`` on the components that
-    ``two_vccs_domtree`` has already proved 2-vertex-connected.
+    ``_problem1`` calls ``_min_degree2_edges`` without the check, and its
+    docstring says why.
     """
     if not is_2vertex_connected(g):
         raise NotTwoVertexConnected(f"{g!r} is not 2-vertex-connected")
@@ -255,9 +271,8 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     single pass reaches a deletion-minimal superset of the core.
 
     g must be 2-vertex-connected: this public entry point checks it
-    through ``min_degree2_subgraph``, and the sparsifiers call
-    ``_prune_to_2vcss`` on the components that ``two_vccs_domtree`` has
-    already proved so.
+    through ``min_degree2_subgraph``; ``_problem1`` calls
+    ``_prune_to_2vcss`` without the check, and its docstring says why.
     """
     return _prune_to_2vcss(g, set(min_degree2_subgraph(g)))
 
@@ -318,16 +333,16 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     return _prune(rows, edges, _edge_set_is_strongly_connected)
 
 
-def _retain_components(
-    g: DiGraph, comps: ComponentList
-) -> tuple[tuple[tuple[Edge, ...], ...], set[Edge]]:
-    """Problem 1's edges: an approximate 2-VCSS of every component of g,
-    per component and united.
+def _problem1(g: DiGraph) -> tuple[ComponentList, tuple[tuple[Edge, ...], ...], set[Edge]]:
+    """Problem 1 on a label-free g: its components, and an approximate
+    2-VCSS of each, per component and united.
 
-    ``comps`` come from ``two_vccs_domtree``, which outputs a piece only
-    once its articulation test finds no strong articulation point, so
-    each induced subgraph is 2-vertex-connected and is not tested again.
+    The components come from one ``two_vccs_domtree`` call, which outputs
+    a piece only once its articulation test finds no strong articulation
+    point, so each induced subgraph is 2-vertex-connected and is not
+    tested again.
     """
+    comps = two_vccs_domtree(g)
     per_component: list[tuple[Edge, ...]] = []
     for comp in comps:
         sub = induced_subgraph(g, comp)
@@ -336,14 +351,13 @@ def _retain_components(
         # Both are ascending: the edges, and the labels of a subgraph of a
         # label-free graph, so the mapped edges are too.
         per_component.append(tuple((labels[u], labels[v]) for u, v in kept))
-    return tuple(per_component), set().union(*per_component)
+    return comps, tuple(per_component), set().union(*per_component)
 
 
 def sparsify_problem1(g: DiGraph) -> SparsifyResult:
     """Fewest edges (approximately) whose graph has the same components."""
     g = strip_labels(g)
-    comps = two_vccs_domtree(g)
-    per_component, retained = _retain_components(g, comps)
+    comps, per_component, retained = _problem1(g)
     edges = tuple(sorted(retained))
     return SparsifyResult(
         problem=1,
@@ -359,8 +373,7 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
     g = strip_labels(g)
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    comps = two_vccs_domtree(g)
-    per_component, retained = _retain_components(g, comps)
+    comps, per_component, retained = _problem1(g)
     coarse = _quotient(g, comps)
     for ce in approx_mscss(coarse.graph):
         retained.add(coarse.edge_origins[ce])
@@ -379,11 +392,10 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
 def sparsify_problem3(g: DiGraph) -> SparsifyResult:
     """Problem 1 on the graph and on its coarsened graph simultaneously."""
     g = strip_labels(g)
-    comps = two_vccs_domtree(g)
-    per_component, retained = _retain_components(g, comps)
+    comps, per_component, retained = _problem1(g)
     coarse = _quotient(g, comps)
-    coarse_comps = two_vccs_domtree(coarse.graph)
-    for ce in _retain_components(coarse.graph, coarse_comps)[1]:
+    coarse_comps, _, coarse_retained = _problem1(coarse.graph)
+    for ce in coarse_retained:
         retained.add(coarse.edge_origins[ce])
     edges = tuple(sorted(retained))
     sparse = DiGraph(g.n, edges)

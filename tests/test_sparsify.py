@@ -344,10 +344,17 @@ def test_certificates_and_decomposition():
             seen |= set(edges)
         r3 = sparsify_problem3(g)
         assert r3.certificate_ok
+        # Problems 2 and 3 are problem 1 plus one step on the coarsened
+        # graph, whose edges map back through their origins.
+        coarse = coarsen(g)
+        lifted = {coarse.edge_origins[e] for e in sparsify_problem1(coarse.graph).edges}
+        assert set(r3.edges) == set(r1.edges) | lifted
         if is_strongly_connected(g):
             r2 = sparsify_problem2(g)
             assert r2.certificate_ok
             assert r2.strongly_connected
+            lifted = {coarse.edge_origins[e] for e in approx_mscss(coarse.graph)}
+            assert set(r2.edges) == set(r1.edges) | lifted
         else:
             with pytest.raises(NotStronglyConnected):
                 sparsify_problem2(g)
@@ -572,5 +579,40 @@ def test_certificate_catches_an_engine_that_merges_two_components(monkeypatch):
             result = solver(g)
             monkeypatch.undo()
             assert not is_2vertex_connected(induced_subgraph(g, result.components[0]))
+            failed += result.certificate_ok is False
+    assert failed == 15
+
+
+def _drop_last_component(comps):
+    return comps[:-1]
+
+
+def _drop_last_vertex_of_first_component(comps):
+    # A 3-set of a bidirected 4-clique is still 2-vertex-connected.
+    return [comps[0][:-1], *comps[1:]] if comps else comps
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize(
+    "drop", [_drop_last_component, _drop_last_vertex_of_first_component],
+    ids=["component", "vertex"],
+)
+def test_certificate_catches_an_engine_that_drops_a_component_or_a_vertex(monkeypatch, drop):
+    # The certificate recomputes the retained graph's components.  An
+    # engine that leaves a component, or a vertex of one, out of its list
+    # keeps no edge of it, so the retained graph lacks it too and the two
+    # lists agree: only a check against g itself would see the drop.
+    import vconn.sparsify as sp
+
+    domtree = sp.two_vccs_domtree
+    failed = 0
+    for seed in range(182_000, 182_005):
+        g = gen_random(GenSpec(n=40, m=40, model="planted", seed=seed, sizes=(4,) * 13))
+        for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
+            assert solver(g).certificate_ok
+            monkeypatch.setattr(sp, "two_vccs_domtree", lambda h: drop(domtree(h)))
+            result = solver(g)
+            monkeypatch.undo()
+            assert list(result.components) != two_vccs(g)
             failed += result.certificate_ok is False
     assert failed == 15

@@ -205,6 +205,18 @@ def test_one_vertex_cut_kernel_and_one_flow_network():
     }
 
 
+def test_problem1_is_built_in_one_place():
+    # Problems 2 and 3 are problem 1 plus one step on the coarsened graph,
+    # so every sparsifier reaches the engine and the degree-2 core through
+    # ``_problem1``; only ``coarsen`` runs the engine for itself.
+    def in_sparsify(name):
+        return {fn for path, fn in _calls_by_function(name) if path == "sparsify.py"}
+
+    assert in_sparsify("two_vccs_domtree") == {"coarsen", "_problem1"}
+    assert in_sparsify("_min_degree2_edges") == {"min_degree2_subgraph", "_problem1"}
+    assert in_sparsify("_problem1") == {f"sparsify_problem{i}" for i in (1, 2, 3)}
+
+
 def test_only_the_public_degree2_entry_point_tests_2_vertex_connectivity():
     # The sparsifiers take each component's 2-vertex-connectivity from the
     # engine that built it; only ``min_degree2_subgraph`` (and through it
