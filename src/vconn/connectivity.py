@@ -202,22 +202,25 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
             continue
         disc[root] = low[root] = counter
         counter += 1
-        # Frames are (vertex, its tree parent, its unscanned neighbours).
-        stack = [(root, -1, iter(adj[root]))]
+        # Frames are (vertex, its unscanned neighbours).
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, p, neighbours = stack[-1]
+            v, neighbours = stack[-1]
             for w in neighbours:
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
                     open_vertices.append(w)
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, iter(adj[w])))
                     break
-                if w != p and disc[w] < low[v]:
+                # The tree parent p lowers low[v] to disc[p] at most, which
+                # leaves low[p] and the block test below as they were.
+                if disc[w] < low[v]:
                     low[v] = disc[w]
             else:
                 stack.pop()
                 if stack:
+                    p = stack[-1][0]
                     if low[v] < low[p]:
                         low[p] = low[v]
                     if low[v] >= disc[p]:

@@ -8,8 +8,8 @@ pair), which returns the separator closest to the source of a pair that
 has one below the limit.  Its count and separator depend on the graph and
 the pair alone (see the ``_flow`` docstring), so this module never looks
 inside the flow.  Which pairs are tried is the whole question: the
-one-source pairs, less those that two-step paths settle where a flow
-need only reach k.
+one-source pairs, less those that pairs already passed settle where a
+flow need only reach k.
 
 *One source* (Esfahanian and Hakimi, "On computing the connectivity of
 graphs and digraphs", Networks 1984).  Lemma: let X be a minimum set
@@ -20,10 +20,9 @@ vertex v one of these pairs is non-adjacent and separated by X: (v, w)
 with w in B, if v is in A; (w, v) with w in A, if v is in B; (x, y) with
 x an in-neighbour of v in A and y an out-neighbour of v in B, if v is in
 X.  If g is not strongly connected, X is empty and v lies in A or B.
-``_one_source_pairs`` yields exactly these pair shapes for the v of least
+``_cuts_below`` walks exactly these pair shapes for the v of least
 in-degree x out-degree: at most 2(n-1) + d-(v)d+(v) flows.
-``_cuts_below`` is the one walk over them.  ``_global_min_cut`` takes
-the least flow over all the pairs: every non-adjacent pair needs at
+``_global_min_cut`` takes the least flow over all the pairs: every non-adjacent pair needs at
 least kappa vertices to separate it, and the lemma gives one that needs
 exactly kappa.  ``vertex_connectivity`` and ``min_vertex_cut`` both call
 it, so the documented cut is the minimum a-b separator closest to a, for
@@ -36,45 +35,45 @@ n = 100 and edge probability 0.5 it ran 2810-3122 flows against
 863-976, and the one-source search also won where kappa is far below
 delta (two dense blobs joined through 2 or 3 vertices).
 
-*Two-step paths* (the neighbour bound of Wen, Qin, Zhang, Chang and
-Chen, "Enumerating k-vertex connected components in large graphs", ICDE
-2019, in directed form).  Lemma: if k vertices z have edges a -> z -> b,
-then kappa(a, b) >= k, since a set of fewer than k vertices other than a
-and b misses one such z, and a -> z -> b survives its removal.
-``_cuts_below`` walks the one-source pairs, gives no flow to a pair with
-k such z (the count stops at k, read from the set the pair was tested
-with), and yields the separator of each pair whose flow, stopped at value
-k, stays below k; k then falls to that separator's size.  A skipped
-pair's flow would have reached k, so each pair below k and its cut are
-those of the walk without the rule.  The k-VCC split and
-``is_k_vertex_connected`` take the first separator from k;
-``_global_min_cut`` takes the last from k = n - 1, the running best.
-Dense pieces gain most.  On 31 graphs (uniform with n = 100 and
-200 and edge probability 0.05-0.8, two seeds each; two 60-vertex blobs
-of edge probability 0.5 joined through 2 or 3 vertices, two seeds each;
-the 60-vertex circulants i -> i+1..i+d with d = 10, 12 and 20),
-``is_k_vertex_connected`` ran, summed over the graphs, best of 3 on 2
-vCPUs with Python 3.11.7:
+*Settled pairs* (the neighbour bound of Wen, Qin, Zhang, Chang and Chen,
+"Enumerating k-vertex connected components in large graphs", ICDE 2019,
+and of Chang et al., "Efficiently computing k-edge connected components
+via graph decomposition", SIGMOD 2013, in directed vertex form).  Fix the
+walk's source v and its threshold k, and call w forward-settled when
+w = v, v -> w is an edge, or the walk has already passed the pair (v, w)
+by a flow, a skip or a cut.  Lemma: if w has k forward-settled
+in-neighbours, then kappa(v, w) >= k.  A set S of fewer than k vertices
+other than v and w misses one settled in-neighbour x of w; since x = v,
+v -> x, or kappa(v, x) >= k, v still reaches x and then w in g - S.  The
+backward rule mirrors this for (w, v) with out-neighbours, and the
+neighbour pairs (x, y) keep the two-step form: k vertices z with
+x -> z -> y settle the pair.  The settled rule contains the two-step
+rule, since each z with v -> z is settled.  ``_cuts_below`` gives no flow
+to a settled pair, and yields the separator of each pair whose flow,
+stopped at value k, stays below k; k then falls to that separator's size.
+A pair passed by a flow or a skip has kappa >= k for the k in force,
+and a pair that yields a cut has kappa equal to the new k, so every
+passed pair stays settled as k falls.  A skipped pair's flow would have
+reached k, so each pair below k and its cut are those of the walk that
+flows every pair.  The k-VCC split and ``is_k_vertex_connected`` take the
+first separator from k; ``_global_min_cut`` takes the last from k = n - 1,
+the running best.
 
-    k    flows without / with the rule    seconds without / with
-    1           36,969 / 1,658                  0.725 / 0.077
-    2           36,578 / 2,348                  1.499 / 0.164
-    3           36,447 / 3,010                  2.379 / 0.277
-    4           35,504 / 2,684                  3.285 / 0.288
-    5           35,098 / 2,711                  4.275 / 0.398
-    8           33,727 / 2,361                  7.462 / 0.615
+The rule pays most where k is small against the degrees: once the walk
+has passed a few pairs, most later vertices have k settled neighbours.
+For the minimum cut that holds once the running best has fallen near
+kappa.  Flows summed over the benchmark's seed-1 graph sets
+(``tests/test_kvcc.py`` pins the last column):
 
-On sparse pieces it settles little: over ``k_vccs(g, 3)`` on 16 seeded
-chains of 6-cliques closed by a spanning cycle (n = 51), it skips 5 of
-1494 flows.  For the minimum cut the threshold is the running best,
-which starts at n - 1 and settles little before kappa is found; after
-that kappa lies near the least degree, so few pairs have kappa two-step
-paths.  One call of ``min_vertex_cut`` per graph of the benchmark's
-seed-0 cut sets ran, without / with the rule, 1,593 / 1,241 flows on 28
-uniform graphs (n = 30, m = 120), 1,536 / 1,500 on 8 chains of 4-cliques
-(n = 100, m = 400) and 1,474 / 1,474 on the 16 chains of 6-cliques above;
-on 27 uniform graphs with n = 40, 60 and 80 and edge probability 0.3,
-0.5 and 0.7 (three seeds each), 9,258 / 8,053.
+    set, call                                no rule   two-step   settled
+    16 6-clique chains, ``k_vccs(g, 3)``       1,494      1,489       487
+    16 6-clique chains, ``min_vertex_cut``     1,494      1,494       960
+    8 4-clique chains, ``min_vertex_cut``      1,536      1,499        29
+    28 uniform m = 4n, ``min_vertex_cut``      1,586      1,160       335
+    28 uniform m = 4n, ``k_vccs(g, 3)``          437        435       435
+
+The 6-clique chains close a spanning cycle (n = 51), the 4-clique chains
+carry noise edges (n = 100, m = 400) and the uniform graphs have n = 30.
 
 Complete bidirected graphs have no cut and get connectivity n-1 by
 convention: they have no non-adjacent pair, so the walk yields nothing
@@ -90,7 +89,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from ._flow import _min_st_vertex_cut
 from .connectivity import _strong_pieces, is_strongly_connected
@@ -110,42 +108,55 @@ class VertexCut:
         return len(self.vertices)
 
 
-def _one_source_pairs(g: DiGraph) -> Iterator[tuple[int, int, Iterator[int]]]:
-    """The Esfahanian-Hakimi pairs of g (see the module docstring) for the
-    vertex v of least in-degree x out-degree, lowest id on ties: every
-    (v, w) with no edge v->w and every (w, v) with no edge w->v, for
-    w = 0, 1, ... in turn, then every (x, y) with x -> v -> y, x != y and
-    no edge x->y.  Each pair (a, b) comes with a lazy iterator over the z
-    with a -> z -> b."""
-    v = min(range(g.n), key=lambda u: len(g.out_adj[u]) * len(g.in_adj[u]))
-    outs, ins = set(g.out_adj[v]), set(g.in_adj[v])
-    for w in range(g.n):
-        if w != v:
-            if w not in outs:
-                yield v, w, filter(outs.__contains__, g.in_adj[w])
-            if w not in ins:
-                yield w, v, filter(ins.__contains__, g.out_adj[w])
-    for x in g.in_adj[v]:
-        x_outs = set(g.out_adj[x])
-        for y in g.out_adj[v]:
-            if y != x and y not in x_outs:
-                yield x, y, filter(x_outs.__contains__, g.in_adj[y])
-
-
 def _cuts_below(g: DiGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Separators of fewer than k vertices, each smaller than the last:
-    the walk over the one-source pairs flows every pair with fewer than k
-    two-step paths, stopped at value k; it yields the separator of a pair
-    that stays below k and lowers k to that separator's size.  The last
-    one yielded is a minimum cut of a strongly connected g."""
-    for a, b, two_step in _one_source_pairs(g):
-        if next(islice(two_step, k - 1, None), None) is None:
-            _, cut = _min_st_vertex_cut(g.out_adj, a, b, k)
-            if cut is not None:
-                yield cut
-                if not cut:
-                    return
-                k = len(cut)
+    """Separators of fewer than k vertices, each smaller than the last.
+
+    The walk takes the Esfahanian-Hakimi pairs (see the module docstring)
+    for the vertex v of least in-degree x out-degree, lowest id on ties:
+    (v, w) unless v->w is an edge and (w, v) unless w->v is one, for
+    w = 0, 1, ... in turn, then every (x, y) with x -> v -> y, x != y and
+    no edge x->y.  It flows each pair that the settled rule or the
+    two-step rule does not settle, stopped at value k; it yields the
+    separator of a pair that stays below k and lowers k to that
+    separator's size.  The last one yielded is a minimum cut of a
+    strongly connected g."""
+    out_adj, in_adj = g.out_adj, g.in_adj
+    v = min(range(g.n), key=lambda u: len(out_adj[u]) * len(in_adj[u]))
+    # fwd[w]: w = v, v->w is an edge, or the walk has passed (v, w), so
+    # kappa(v, w) >= k for every k the walk will hold; bwd[w] likewise
+    # for (w, v).
+    fwd, bwd = bytearray(g.n), bytearray(g.n)
+    fwd[v] = bwd[v] = 1
+    for w in out_adj[v]:
+        fwd[w] = 1
+    for w in in_adj[v]:
+        bwd[w] = 1
+
+    def unsettled() -> Iterator[tuple[int, int]]:
+        # Reads the walk's k as it falls; a pair is marked passed once the
+        # walk resumes this generator after its flow.
+        for w in range(g.n):
+            if not fwd[w]:
+                if sum(map(fwd.__getitem__, in_adj[w])) < k:
+                    yield v, w
+                fwd[w] = 1
+            if not bwd[w]:
+                if sum(map(bwd.__getitem__, out_adj[w])) < k:
+                    yield w, v
+                bwd[w] = 1
+        for x in in_adj[v]:
+            x_outs = set(out_adj[x])
+            for y in out_adj[v]:
+                if y != x and y not in x_outs and sum(map(x_outs.__contains__, in_adj[y])) < k:
+                    yield x, y
+
+    for a, b in unsettled():
+        _, cut = _min_st_vertex_cut(out_adj, a, b, k)
+        if cut is not None:
+            yield cut
+            if not cut:
+                return
+            k = len(cut)
 
 
 def _global_min_cut(g: DiGraph) -> tuple[int, ...] | None:

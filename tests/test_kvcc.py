@@ -343,9 +343,10 @@ def test_k_vccs_metamorphic_above_oracle_size(spec):
 CHAIN_SPECS = [s for s in ABOVE_ORACLE_SPECS if s.model == "planted" and s.strongly_connected]
 
 
-# Flows per call on the two chains, exact and free of timing noise: they
-# guard the one-source pair order.
-PINNED_FLOWS = {127_100: 90, 127_101: 94}
+# Flows of is_k_vertex_connected(g, 3), vertex_connectivity and
+# min_vertex_cut on the two chains, exact and free of timing noise: they
+# guard the one-source pair order and the settled rule.
+PINNED_FLOWS = {127_100: (26, 45, 45), 127_101: (33, 62, 62)}
 
 
 @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda s: str(s.seed))
@@ -368,11 +369,11 @@ def test_one_source_search_bounds_the_flows(monkeypatch, spec):
         lambda: vertex_connectivity(g),
         lambda: min_vertex_cut(g),
     )
-    for call in calls:
+    for call, flows in zip(calls, PINNED_FLOWS[spec.seed]):
         pairs.clear()
         call()
         assert 0 < len(pairs) <= bound
-        assert len(pairs) == PINNED_FLOWS[spec.seed]
+        assert len(pairs) == flows
         assert all(s != t and t not in g.out_adj[s] for s, t in pairs)
 
 
@@ -382,14 +383,15 @@ def _two_step_paths(g, a, b):
 
 
 # Flows of is_k_vertex_connected(g, 3) on the d-circulants below, exact and
-# free of timing noise: they guard the two-step rule on dense pieces.
-CIRCULANT_FLOWS = {12: 17, 10: 25}
+# free of timing noise: they guard the settled rule on dense pieces.
+CIRCULANT_FLOWS = {12: 10, 10: 14}
 
 
 def test_dense_pieces_flow_only_pairs_with_few_two_step_paths(monkeypatch):
     # Circulant i -> i+1..i+d (mod 30) is d-connected, and most of its
-    # one-source pairs (a, b) have 3 or more vertices z with a -> z -> b,
-    # which settle the pair at k = 3 without a flow.
+    # one-source pairs are settled at k = 3 without a flow.  The settled
+    # rule contains the two-step rule, so a flowed pair (a, b) has fewer
+    # than 3 vertices z with a -> z -> b.
     pairs = []
     real = vconn.kvcc._min_st_vertex_cut
 
@@ -418,13 +420,72 @@ DENSITY_SPECS = [
 ]
 
 
-def test_pairs_skipped_for_two_step_paths_are_k_connected(monkeypatch):
-    # The walk gives no flow to a pair (a, b) with k vertices z on paths
-    # a -> z -> b, since fewer than k vertices cannot meet them all.  So the
-    # flow capped at k reaches k on every pair it skips before it stops.
-    # For the minimum cut k starts at n - 1 and falls to each new
-    # separator's size, so a pair skipped at the running best has a flow
-    # capped there that reaches it.
+def _source(g):
+    """The walk's v: least in-degree x out-degree, lowest id on ties."""
+    return min(range(g.n), key=lambda u: (len(g.in_adj[u]) * len(g.out_adj[u]), u))
+
+
+def _one_source_pairs(g):
+    """The walk's pairs in order: (v, w) unless v->w and (w, v) unless w->v
+    for w = 0, 1, ..., then (x, y) for x -> v -> y with x != y and no edge
+    x->y."""
+    v = _source(g)
+    for w in range(g.n):
+        if w != v:
+            if w not in g.out_adj[v]:
+                yield v, w
+            if w not in g.in_adj[v]:
+                yield w, v
+    for x in g.in_adj[v]:
+        for y in g.out_adj[v]:
+            if y != x and y not in g.out_adj[x]:
+                yield x, y
+
+
+def _settlers(g, v, passed, a, b):
+    """The vertices that settle the pair (a, b) once the walk has passed
+    the pairs in ``passed``: for (v, w), the in-neighbours x of w with
+    x = v, v -> x or (v, x) passed; for (w, v), the mirror image; for a
+    neighbour pair (x, y), the z with x -> z -> y."""
+    if a == v:
+        return [x for x in g.in_adj[b] if x == v or x in g.out_adj[v] or (v, x) in passed]
+    if b == v:
+        return [y for y in g.out_adj[a] if y == v or v in g.out_adj[y] or (y, v) in passed]
+    return _two_step_paths(g, a, b)
+
+
+def _replay_the_walk(g, k, flowed, first_cut_only):
+    """Replays ``_cuts_below(g, k)`` pair by pair against the flows it ran,
+    given as (s, t, limit, separator) in order.  The walk must flow
+    exactly the pairs with fewer than k settlers, capped at the k in
+    force, and every pair it skips must reach that k by an independent
+    capped flow.  Returns the number of pairs skipped and the final k."""
+    v, passed, runs, skipped = _source(g), set(), iter(flowed), 0
+    for a, b in _one_source_pairs(g):
+        if len(_settlers(g, v, passed, a, b)) >= k:
+            assert _min_st_vertex_cut(g.out_adj, a, b, k)[0] == k, (a, b, k)
+            skipped += 1
+        else:
+            s, t, limit, sep = next(runs)
+            assert (s, t, limit) == (a, b, k)
+            if sep is not None:
+                if first_cut_only or not sep:
+                    break
+                k = len(sep)
+        passed.add((a, b))
+    assert next(runs, None) is None
+    return skipped, k
+
+
+def test_pairs_skipped_by_the_settled_rule_are_k_connected(monkeypatch):
+    # The walk gives no flow to a pair (v, w) when k in-neighbours x of w
+    # are settled: x = v, v -> x, or the walk has passed (v, x).  A set of
+    # fewer than k vertices misses one such x, and v still reaches x and
+    # then w.  (w, v) is the mirror image, and a neighbour pair (x, y) is
+    # settled by k vertices z on paths x -> z -> y.  So the flow capped at
+    # k reaches k on every pair the walk skips.  For the minimum cut k
+    # starts at n - 1 and falls to each new separator's size, so a pair
+    # skipped at the running best has a flow capped there that reaches it.
     flowed = []
     real = vconn.kvcc._min_st_vertex_cut
 
@@ -437,29 +498,14 @@ def test_pairs_skipped_for_two_step_paths_are_k_connected(monkeypatch):
     skipped = 0
     for spec in DENSITY_SPECS:
         g = gen_random(spec)
-        pairs = [(a, b) for a, b, _ in vconn.kvcc._one_source_pairs(g)]
         for k in (1, 2, 3, 4, 5, 8):
             flowed.clear()
-            cut = next(vconn.kvcc._cuts_below(g, k), None)
-            flows = [(s, t) for s, t, _, _ in flowed]
-            walked = pairs if cut is None else pairs[: pairs.index(flows[-1]) + 1]
-            assert flows == [(a, b) for a, b in walked if len(_two_step_paths(g, a, b)) < k]
-            for a, b in set(walked) - set(flows):
-                assert _min_st_vertex_cut(g.out_adj, a, b, k)[0] == k, (spec, k, a, b)
-                skipped += 1
+            next(vconn.kvcc._cuts_below(g, k), None)
+            skipped += _replay_the_walk(g, k, flowed, first_cut_only=True)[0]
         flowed.clear()
         cut = vconn.kvcc._global_min_cut(g)
-        best, runs = g.n - 1, iter(flowed)
-        for a, b in pairs:
-            if len(_two_step_paths(g, a, b)) >= best:
-                assert _min_st_vertex_cut(g.out_adj, a, b, best)[0] == best, (spec, a, b)
-                skipped += 1
-                continue
-            s, t, limit, sep = next(runs)
-            assert (s, t, limit) == (a, b, best)
-            if sep is not None:
-                best = len(sep)
-        assert next(runs, None) is None
+        count, best = _replay_the_walk(g, g.n - 1, flowed, first_cut_only=False)
+        skipped += count
         assert len(cut) == best == vertex_connectivity(g)
     assert skipped > 1000
 
@@ -467,7 +513,7 @@ def test_pairs_skipped_for_two_step_paths_are_k_connected(monkeypatch):
 # Flows of vertex_connectivity and of min_vertex_cut on uniform m = 4n
 # graphs, with their kappa and cut, exact and free of timing noise: they
 # guard the falling threshold of the minimum-cut walk.
-MIN_CUT_FLOWS = {1100: (47, 1, (15,)), 1101: (39, 1, (6,)), 1102: (53, 2, (9, 17))}
+MIN_CUT_FLOWS = {1100: (23, 1, (15,)), 1101: (9, 1, (6,)), 1102: (25, 2, (9, 17))}
 
 
 @pytest.mark.parametrize("seed", sorted(MIN_CUT_FLOWS))
@@ -490,7 +536,7 @@ def test_minimum_cut_flows_only_pairs_below_the_running_best(monkeypatch, seed):
 
 
 def test_one_source_cuts_agree_with_the_sweep_above_oracle_size():
-    # All three skip the one-source pairs that two-step paths settle:
+    # All three skip the one-source pairs that the walk has settled:
     # min_vertex_cut and vertex_connectivity at the running best,
     # is_k_vertex_connected at k.
     # ``swept`` counts the dense cases, d-(v)d+(v) > 2(k-1)(n-1).
@@ -519,3 +565,104 @@ def test_min_vertex_cut_keeps_the_one_source_choice_above_oracle_size(spec):
     cut = min_vertex_cut(g)
     assert cut.vertices == ONE_SOURCE_CUTS[spec.seed]
     assert vertex_connectivity(g) == cut.size
+
+
+def _rule_free_cuts_below(g, k):
+    """``_cuts_below`` without the settled and two-step rules: every
+    one-source pair gets a flow capped at the current k."""
+    for a, b in _one_source_pairs(g):
+        _, cut = _min_st_vertex_cut(g.out_adj, a, b, k)
+        if cut is not None:
+            yield cut
+            if not cut:
+                return
+            k = len(cut)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (NoCutExists, NotStronglyConnected) as exc:
+        return type(exc), str(exc)
+
+
+def _answers(g):
+    return (
+        _outcome(min_vertex_cut, g),
+        _outcome(vertex_connectivity, g),
+        [is_k_vertex_connected(g, k) for k in range(1, 6)],
+        k_vccs(g, 3),
+    )
+
+
+# The benchmark's shapes: 6-clique chains on a spanning cycle (n = 51),
+# 4-clique chains with noise edges (n = 100, m = 400, not always strongly
+# connected) and uniform graphs with m = 4n (n = 30).
+BENCHMARK_SHAPED_SPECS = [
+    spec
+    for i in range(4)
+    for spec in (
+        GenSpec(n=51, m=51, model="planted", seed=129_000 + i, sizes=(6,) * 10,
+                strongly_connected=True),
+        GenSpec(n=100, m=400, model="planted", seed=129_100 + i, sizes=(4,) * 33),
+        GenSpec(n=30, m=120, seed=129_200 + i, strongly_connected=True),
+    )
+]
+
+
+def test_rules_leave_every_answer_as_the_rule_free_walk_gives_it(monkeypatch):
+    # A pair is skipped only when its capped flow would reach the k in
+    # force, so every cut the walk yields, and the last one, are those of
+    # the walk that flows every pair.
+    graphs = [gen_random(spec) for spec in DENSITY_SPECS + BENCHMARK_SHAPED_SPECS]
+    with_rules = [_answers(g) for g in graphs]
+    monkeypatch.setattr(vconn.kvcc, "_cuts_below", _rule_free_cuts_below)
+    assert [_answers(g) for g in graphs] == with_rules
+    assert len({kappa for _, kappa, _, _ in with_rules}) >= 5
+
+
+def _flows_of(monkeypatch, call, specs):
+    flows = 0
+    real = vconn.kvcc._min_st_vertex_cut
+
+    def spy(out_adj, s, t, limit):
+        nonlocal flows
+        flows += 1
+        return real(out_adj, s, t, limit)
+
+    monkeypatch.setattr(vconn.kvcc, "_min_st_vertex_cut", spy)
+    for spec in specs:
+        call(gen_random(spec))
+    return flows
+
+
+# The graph sets that the benchmark's workloads build with seed 1 for
+# ``k_vccs(g, 3)`` and ``min_vertex_cut``; graph i of set j has generator
+# seed 1000 + 100 j + i.
+KVCC_DENSE_SET = [
+    GenSpec(n=51, m=51, model="planted", seed=1000 + i, sizes=(6,) * 10, strongly_connected=True)
+    for i in range(16)
+]
+PLANTED_CHAIN_CUT_SET = [
+    GenSpec(n=100, m=400, model="planted", seed=1100 + i, sizes=(4,) * 33) for i in range(8)
+]
+UNIFORM_CUT_SET = [GenSpec(n=30, m=120, seed=1100 + i, strongly_connected=True) for i in range(28)]
+
+# Flows summed over each set, exact and free of timing noise: a work
+# baseline for the benchmark's kvcc3_s and cut_s.  Without the settled
+# rule the first four read 1,489, 1,494, 1,499 and 1,160.
+# kvcc3_s runs the same flows with and without the rule on the last two.
+BENCHMARK_FLOWS = {
+    "kvcc-dense-kvcc3": (lambda g: k_vccs(g, 3), KVCC_DENSE_SET, 487),
+    "kvcc-dense-cut": (min_vertex_cut, KVCC_DENSE_SET, 960),
+    "planted-chain-cut": (min_vertex_cut, PLANTED_CHAIN_CUT_SET, 29),
+    "uniform-4n-cut": (min_vertex_cut, UNIFORM_CUT_SET, 335),
+    "uniform-4n-kvcc3": (lambda g: k_vccs(g, 3), UNIFORM_CUT_SET, 435),
+    "planted-chain-kvcc3": (lambda g: k_vccs(g, 3), PLANTED_CHAIN_CUT_SET, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_FLOWS))
+def test_flows_on_the_benchmark_sets(monkeypatch, case):
+    call, specs, flows = BENCHMARK_FLOWS[case]
+    assert _flows_of(monkeypatch, call, specs) == flows

@@ -141,32 +141,22 @@ def test_only_the_flow_module_runs_split_network_flows():
 
 def test_one_pair_loop_per_question():
     # ``_cuts_below`` is the one walk over the one-source pairs, for the
-    # minimum cut and for a cut below k; no other function walks a pair
-    # list of its own.
-    allowed = {
-        "_one_source_pairs": {"_cuts_below"},
+    # minimum cut and for a cut below k: it owns the pair order, the
+    # settled flags and the falling k, so it is the only generator in
+    # ``kvcc.py``, and every question reaches the pairs through it.
+    tree = ast.parse((SRC / "kvcc.py").read_text(encoding="utf-8"))
+    generators = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
     }
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        inside = {
-            node: fn.name
-            for fn in tree.body
-            if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-        }
-        found += [
-            f"{path.relative_to(SRC)}:{node.lineno}"
-            for node in ast.walk(tree)
-            for name in (
-                node.id if isinstance(node, ast.Name) else None,
-                node.attr if isinstance(node, ast.Attribute) else None,
-                node.name if isinstance(node, ast.alias) else None,
-            )
-            if name in allowed
-            and not (path.name == "kvcc.py" and inside.get(node) in allowed[name])
-        ]
-    assert found == []
+    assert generators == {"_cuts_below"}
+    assert set(_calls_by_function("_cuts_below")) == {
+        ("kvcc.py", "_global_min_cut"),
+        ("kvcc.py", "is_k_vertex_connected"),
+        ("kvcc.py", "k_vccs"),
+    }
 
 
 def _calls_by_function(name):
