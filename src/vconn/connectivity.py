@@ -113,8 +113,14 @@ def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
     minus cut non-empty and strongly connected, lies within one piece:
     every 2-VCC of h when cut is one vertex, and every k-VCC of h when cut
     has fewer than k vertices.
+
+    A cut may be given only when h is strongly connected, as every caller's
+    piece is.  Then a cut that leaves one SCC rejoins it into h itself, so
+    h is the one piece, with no second pass over it.
     """
     comp, ncomp = _scc_ids(h.n, h.out_adj, skip=cut)
+    if ncomp == 1:
+        return [h] if h.n >= 3 else []
     if cut:
         return [
             piece
@@ -122,8 +128,6 @@ def _strong_pieces(h: DiGraph, cut: Collection[int] = ()) -> list[DiGraph]:
             if len(c) + len(cut) >= 3
             for piece in _strong_pieces(induced_subgraph(h, (*c, *cut)))
         ]
-    if ncomp == 1:
-        return [h] if h.n >= 3 else []
     return [induced_subgraph(h, c) for c in _group_components(h.n, comp) if len(c) >= 3]
 
 

@@ -15,11 +15,11 @@ from vconn import (
     undirected_biconnected_components,
 )
 from vconn.connectivity import _degree_core, _strong_pieces
-from vconn.graph import UndirectedGraph
+from vconn.graph import UndirectedGraph, strip_labels
 from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
 
-from conftest import mixed_corpus
+from conftest import bidirected, mixed_corpus
 
 
 def mutual_reachability_classes(g):
@@ -89,20 +89,52 @@ def test_scc_matches_reachability_oracle():
 
 def test_strong_pieces_at_a_cut_hold_every_k_vcc():
     # Removing fewer than k vertices leaves a k-VCC strongly connected, so
-    # it lies within one piece of the split at that vertex set.
+    # it lies within one piece of the split at that vertex set.  A cut is
+    # only given to a strongly connected graph, so the cuts are drawn
+    # inside the strong pieces of each graph.
     rng = random.Random(5)
+    splits = wholes = 0
     for g in mixed_corpus(150, base_seed=91_000, max_n=9):
-        for k in (2, 3):
-            comps = brute_k_vccs(g, k)
-            # Cuts drawn from inside a component test the rejoining most.
-            pool = rng.choice(comps) if comps and rng.random() < 0.5 else range(g.n)
-            cut = tuple(rng.sample(pool, rng.randint(0, min(k - 1, len(pool)))))
-            pieces = _strong_pieces(g, cut)
-            for p in pieces:
-                assert p.n >= 3 and is_strongly_connected(p)
-            labels = [set(p.origin_labels) for p in pieces]
-            for c in comps:
-                assert any(set(c) <= s for s in labels), (c, cut)
+        for h in map(strip_labels, _strong_pieces(g)):
+            for k in (2, 3):
+                comps = brute_k_vccs(h, k)
+                # Cuts drawn from inside a component test the rejoining most.
+                pool = rng.choice(comps) if comps and rng.random() < 0.5 else range(h.n)
+                cut = tuple(rng.sample(pool, rng.randint(0, min(k - 1, len(pool)))))
+                pieces = _strong_pieces(h, cut)
+                for p in pieces:
+                    assert p.n >= 3 and is_strongly_connected(p)
+                labels = [set(p.origin_labels) for p in pieces]
+                for c in comps:
+                    assert any(set(c) <= s for s in labels), (c, cut)
+                if cut:
+                    whole = len(pieces) == 1 and pieces[0] is h
+                    wholes += whole
+                    splits += not whole
+    # Both kinds of cut occur: one that splits h, and one that leaves it
+    # one SCC (40 and 82 of them).
+    assert splits > 20 and wholes > 40
+
+
+def test_a_cut_that_splits_nothing_returns_its_piece(monkeypatch, k4b):
+    # h is strongly connected, so a cut that leaves one SCC rejoins it into
+    # h itself: one SCC pass, with the cut skipped, settles it.
+    import vconn.connectivity as connectivity
+
+    passes = []
+    scc_ids = connectivity._scc_ids
+
+    def spy(n, out_adj, skip=()):
+        passes.append(tuple(skip))
+        return scc_ids(n, out_adj, skip)
+
+    monkeypatch.setattr(connectivity, "_scc_ids", spy)
+    cycle = from_edge_list(5, bidirected([(i, (i + 1) % 5) for i in range(5)]))
+    for h, cut in ((k4b, (0,)), (k4b, (1, 3)), (cycle, (2,))):
+        passes.clear()
+        pieces = _strong_pieces(h, cut)
+        assert len(pieces) == 1 and pieces[0] is h
+        assert passes == [cut]
 
 
 def _core_by_repeated_deletion(g, k):

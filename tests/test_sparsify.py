@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from vconn import (
     induced_subgraph,
     is_2vertex_connected,
     is_strongly_connected,
+    k_vccs,
     min_degree2_subgraph,
     sparsify_problem1,
     sparsify_problem2,
@@ -402,6 +403,107 @@ def test_components_built_once_and_certified_by_split(monkeypatch):
         assert len(calls["domtree"]) == 1 + coarse_graphs
         assert calls["split"][0] == from_edge_list(g.n, result.edges)
         assert len(calls["split"]) == 1 + coarse_graphs
+
+
+def _triangles_on_a_random_graph(seed):
+    """A bidirected triangle per vertex of a random graph on 3-6 vertices,
+    each of its edges realised between random corners: the triangles are
+    the components, and the coarsened graph can have its own."""
+    rng = random.Random(seed)
+    q = rng.randint(3, 6)
+    edges = [(3 * a + i, 3 * a + j) for a in range(q) for i, j in permutations(range(3), 2)]
+    for a in range(q):
+        for b in range(q):
+            if a != b and rng.random() < 0.5:
+                edges.append((3 * a + rng.randrange(3), 3 * b + rng.randrange(3)))
+    return from_edge_list(3 * q, edges)
+
+
+def test_problem3_certifies_the_coarse_edges_it_kept(monkeypatch, bowtie):
+    # Problem 3 runs split on the graph of the coarse edges it kept, not on
+    # a second coarsening of the retained graph; the two agree whenever the
+    # retained graph's components are g's.
+    import vconn.sparsify as sp
+
+    graphs = mixed_corpus(150, base_seed=190_000, max_n=9) + [bowtie]
+    graphs += [gen_random(GenSpec(n=40, m=m, model="planted", seed=190_300 + i, sizes=(4,) * 13))
+               for i in range(10) for m in (40, 70)]
+    graphs += [gen_random(GenSpec(n=30, m=120, seed=190_500 + i, strongly_connected=True))
+               for i in range(10)]
+    graphs += [_triangles_on_a_random_graph(190_700 + i) for i in range(60)]
+    with_coarse_components = 0
+    for g in graphs:
+        r = sparsify_problem3(g)
+        assert r.certificate_ok
+        retained = sp._quotient(from_edge_list(g.n, r.edges), list(r.recomputed_components))
+        assert r.recomputed_coarse_components == tuple(two_vccs(retained.graph, "split"))
+        with_coarse_components += bool(r.coarse_components)
+    assert with_coarse_components >= 10
+
+    # A deletion test that accepts everything still fails problem 3's
+    # certificate on the graph where it fails problem 1's (the merge test
+    # covers all three problems already).
+    monkeypatch.setattr(sp, "_edge_set_is_2vc", lambda *args: True)
+    assert sparsify_problem3(clique_cycle(173_000)).certificate_ok is False
+
+
+# The graph sets that the benchmark's workloads build with seed 1 for
+# ``sparsify2_s``, ``sparsify3_s`` and ``kvcc3_s``; graph i of set j has
+# generator seed 1000 + 100 j + i.
+BENCHMARK_SETS = {
+    "uniform-4n": [GenSpec(n=30, m=120, seed=1100 + i, strongly_connected=True)
+                   for i in range(28)],
+    "planted-chain": [GenSpec(n=1000, m=4000, model="planted", seed=1000 + i, sizes=(4,) * 333)
+                      for i in range(5)],
+    "kvcc-dense": [GenSpec(n=51, m=51, model="planted", seed=1000 + i, sizes=(6,) * 10,
+                           strongly_connected=True) for i in range(16)],
+}
+
+# (``_quotient`` calls, SCC passes) summed over each set: exact work
+# baselines, free of timing noise.  Problem 3 coarsens once per graph, and
+# a certificate split at a vertex that leaves one SCC makes one SCC pass.
+# Before either held, the sparsifier rows read (56, 274), (28, 540),
+# (10, 10025) and (32, 128) where they now differ.
+BENCHMARK_WORK = {
+    ("uniform-4n", "sparsify3"): (28, 246),
+    ("uniform-4n", "sparsify2"): (28, 472),
+    ("uniform-4n", "kvcc3"): (0, 1029),
+    ("planted-chain", "sparsify3"): (5, 10_020),
+    ("planted-chain", "sparsify2"): (5, 10_025),
+    ("kvcc-dense", "sparsify3"): (16, 112),
+    ("kvcc-dense", "sparsify2"): (16, 128),
+    ("kvcc-dense", "kvcc3"): (0, 32),
+}
+BENCHMARK_CALLS = {
+    "sparsify3": sparsify_problem3,
+    "sparsify2": sparsify_problem2,
+    "kvcc3": lambda g: k_vccs(g, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_WORK), ids="-".join)
+def test_work_on_the_benchmark_sets(monkeypatch, case):
+    import vconn.articulation
+    import vconn.connectivity
+    import vconn.sparsify as sp
+    import vconn.twovcc
+
+    work = {"quotients": 0, "scc passes": 0}
+
+    def spy(key, func):
+        def wrapper(*args, **kwargs):
+            work[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sp, "_quotient", spy("quotients", sp._quotient))
+    scc_ids = spy("scc passes", vconn.connectivity._scc_ids)
+    for module in (vconn.connectivity, vconn.articulation, vconn.twovcc):
+        monkeypatch.setattr(module, "_scc_ids", scc_ids)
+    family, call = case
+    for spec in BENCHMARK_SETS[family]:
+        BENCHMARK_CALLS[call](gen_random(spec))
+    assert (work["quotients"], work["scc passes"]) == BENCHMARK_WORK[case]
 
 
 def test_flow_deletion_test_matches_full_check():
