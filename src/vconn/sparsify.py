@@ -44,23 +44,18 @@ Every result carries a certificate recomputed by a different engine: the
 components are built with ``two_vccs_domtree`` once per graph and the
 certificate's components are recomputed once each with
 ``two_vccs_split``.  It proves that the retained graph's components are
-exactly the claimed list.  Problem 3's coarse level is ``split`` of the
-coarse edges kept, which is the retained graph's coarsened graph whenever
-the first comparison holds: the retained graph's classes are then g's,
-and its only edges between classes are the coarse edges lifted back; when
-the first comparison fails, the certificate has failed already.  So the
-certificate catches a claimed set that is not 2-vertex-connected, such
-as a merge of two components: ``split`` could not return it for the
-retained graph either (a set 2-vertex-connected there is so in g, which
-only has more edges).  It also catches a deletion that breaks a
-component.  It does not prove that the claimed list is g's: a component
-or a vertex that the engine leaves out keeps no edges, so the retained
-graph lacks it too and the two lists agree.  A failed certificate makes
-``certificate_ok`` False, and ``vconn sparsify`` exits 1 on it.
-``split`` cuts a piece at every strong articulation point one test
-finds before it tests a piece again, so on a bare chain of q cliques a
-certificate costs q + 1 articulation tests: one on the whole chain, one
-per clique.
+exactly the claimed list.  So it catches a claimed set that is not
+2-vertex-connected, such as a merge of two components: ``split`` could
+not return it for the retained graph either (a set 2-vertex-connected
+there is so in g, which only has more edges).  It also catches a
+deletion that breaks a component.  It does not prove that the claimed
+list is g's: a component or a vertex that the engine leaves out keeps no
+edges, so the retained graph lacks it too and the two lists agree.  A
+failed certificate makes ``certificate_ok`` False, and ``vconn sparsify``
+exits 1 on it.  ``split`` cuts a piece at every
+strong articulation point one test finds before it tests a piece again,
+so on a bare chain of q cliques a certificate costs q + 1 articulation
+tests: one on the whole chain, one per clique.
 """
 
 from __future__ import annotations
@@ -97,13 +92,11 @@ class SparsifyResult:
     ``certificate_ok`` holds when ``two_vccs_split`` finds exactly the
     claimed ``components`` in the retained graph, the retained graph is
     strongly connected where problem 2 asks it, and for problem 3 ``split``
-    finds exactly the claimed ``coarse_components`` in the graph of the
-    coarse edges kept, which is the retained graph's coarsened graph
-    whenever the first comparison holds.  It is False for a claimed set
-    that is not 2-vertex-connected, such as a merge, and for a deletion
-    that breaks a component.  It cannot see a component or a vertex that
-    the engine left out of the claimed list, because the retained graph
-    lacks it too.
+    finds exactly the claimed ``coarse_components`` in the retained graph's
+    coarsened graph.  It is False for a claimed set that is not
+    2-vertex-connected, such as a merge, and for a deletion that breaks a
+    component.  It cannot see a component or a vertex that the engine left
+    out of the claimed list, because the retained graph lacks it too.
     """
 
     problem: int
@@ -404,16 +397,17 @@ def sparsify_problem3(g: DiGraph) -> SparsifyResult:
     for ce in coarse_retained:
         retained.add(coarse.edge_origins[ce])
     edges = tuple(sorted(retained))
-    # Once the retained graph's components are g's, so are its classes, and
-    # its only edges between classes are the lifted coarse ones: its
-    # coarsened graph is the graph of the coarse edges kept.
-    coarse_kept = DiGraph(coarse.graph.n, coarse_retained)
+    sparse = DiGraph(g.n, edges)
+    recomputed = two_vccs_split(sparse)
+    # Coarsen the retained graph itself, not the coarse edges kept, so that
+    # a coarse edge lifted wrongly or not at all fails the certificate.
+    recoarse = _quotient(sparse, recomputed)
     return SparsifyResult(
         problem=3,
         edges=edges,
         components=tuple(comps),
         per_component_edges=per_component,
-        recomputed_components=tuple(two_vccs_split(DiGraph(g.n, edges))),
+        recomputed_components=tuple(recomputed),
         coarse_components=tuple(coarse_comps),
-        recomputed_coarse_components=tuple(two_vccs_split(coarse_kept)),
+        recomputed_coarse_components=tuple(two_vccs_split(recoarse.graph)),
     )

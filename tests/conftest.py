@@ -62,3 +62,14 @@ def mixed_random_graph(seed: int, max_n: int = 8):
 
 def mixed_corpus(count: int, base_seed: int = 0, max_n: int = 8):
     return [mixed_random_graph(base_seed + i, max_n) for i in range(count)]
+
+
+# Graph sets that the benchmark's workloads build with seed 1, shared by the
+# tests that pin their work; graph i of set j has generator seed
+# 1000 + 100 j + i.  kvcc3_s, cut_s, sparsify2_s and sparsify3_s run the
+# uniform-4n set, and kvcc3_s and both sparsifier workloads the kvcc-dense one.
+KVCC_DENSE_SET = [
+    GenSpec(n=51, m=51, model="planted", seed=1000 + i, sizes=(6,) * 10, strongly_connected=True)
+    for i in range(16)
+]
+UNIFORM_CUT_SET = [GenSpec(n=30, m=120, seed=1100 + i, strongly_connected=True) for i in range(28)]

@@ -6,11 +6,13 @@ from vconn import (
     dominator_tree,
     from_edge_list,
     is_strongly_connected,
+    k_vccs,
     remove_vertices,
     root_children,
     strong_articulation_points,
     strongly_connected_components,
     two_vccs,
+    two_vccs_containing,
     underlying_undirected,
     undirected_biconnected_components,
 )
@@ -135,6 +137,32 @@ def test_a_cut_that_splits_nothing_returns_its_piece(monkeypatch, k4b):
         pieces = _strong_pieces(h, cut)
         assert len(pieces) == 1 and pieces[0] is h
         assert passes == [cut]
+
+
+def test_every_engine_gives_a_cut_only_with_a_strongly_connected_piece(monkeypatch):
+    # _strong_pieces returns h itself when h minus the cut is one SCC, which
+    # is right only for a strongly connected h: every caller must hold one.
+    import vconn.kvcc
+    import vconn.twovcc
+
+    cuts = 0
+
+    def spy(h, cut=()):
+        nonlocal cuts
+        if cut:
+            cuts += 1
+            assert is_strongly_connected(h), (h, cut)
+        return _strong_pieces(h, cut)
+
+    for module in (vconn.kvcc, vconn.twovcc):
+        monkeypatch.setattr(module, "_strong_pieces", spy)
+    for g in mixed_corpus(150, base_seed=92_000, max_n=9):
+        for algo in ("split", "domtree", "per-vertex"):
+            two_vccs(g, algo)
+        two_vccs_containing(g, 0)
+        for k in (2, 3, 4):
+            k_vccs(g, k)
+    assert cuts > 100
 
 
 def _core_by_repeated_deletion(g, k):

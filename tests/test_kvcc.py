@@ -30,7 +30,7 @@ from vconn.testkit import (
     gen_random,
 )
 
-from conftest import bidirected, mixed_corpus
+from conftest import KVCC_DENSE_SET, UNIFORM_CUT_SET, bidirected, mixed_corpus
 
 
 @pytest.fixture
@@ -636,17 +636,11 @@ def _flows_of(monkeypatch, call, specs):
     return flows
 
 
-# The graph sets that the benchmark's workloads build with seed 1 for
-# ``k_vccs(g, 3)`` and ``min_vertex_cut``; graph i of set j has generator
-# seed 1000 + 100 j + i.
-KVCC_DENSE_SET = [
-    GenSpec(n=51, m=51, model="planted", seed=1000 + i, sizes=(6,) * 10, strongly_connected=True)
-    for i in range(16)
-]
+# The kvcc3_s and cut_s workloads build this set with seed 1 (with the
+# kvcc-dense and uniform-4n sets in conftest).
 PLANTED_CHAIN_CUT_SET = [
     GenSpec(n=100, m=400, model="planted", seed=1100 + i, sizes=(4,) * 33) for i in range(8)
 ]
-UNIFORM_CUT_SET = [GenSpec(n=30, m=120, seed=1100 + i, strongly_connected=True) for i in range(28)]
 
 # Flows summed over each set, exact and free of timing noise: a work
 # baseline for the benchmark's kvcc3_s and cut_s.  Without the settled

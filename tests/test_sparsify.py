@@ -12,7 +12,6 @@ from vconn import (
     induced_subgraph,
     is_2vertex_connected,
     is_strongly_connected,
-    k_vccs,
     min_degree2_subgraph,
     sparsify_problem1,
     sparsify_problem2,
@@ -23,7 +22,7 @@ from vconn._flow import FlowNetwork
 from vconn.errors import NotStronglyConnected, NotTwoVertexConnected
 from vconn.testkit import GenSpec, _quotient, brute_mscss, brute_opt_sparsifier, gen_random
 
-from conftest import bidirected, mixed_corpus
+from conftest import KVCC_DENSE_SET, UNIFORM_CUT_SET, bidirected, mixed_corpus
 
 
 def clique_cycle(seed):
@@ -419,66 +418,74 @@ def _triangles_on_a_random_graph(seed):
     return from_edge_list(3 * q, edges)
 
 
-def test_problem3_certifies_the_coarse_edges_it_kept(monkeypatch, bowtie):
-    # Problem 3 runs split on the graph of the coarse edges it kept, not on
-    # a second coarsening of the retained graph; the two agree whenever the
-    # retained graph's components are g's.
+@pytest.mark.parametrize("dropped", ["every", "first"])
+def test_problem3_certificate_catches_a_coarse_edge_left_unlifted(monkeypatch, dropped):
+    # Problem 3's coarse level is checked on the retained graph's own
+    # coarsened graph, so a coarse edge kept but not lifted back into the
+    # retained graph fails the certificate while the components still agree.
     import vconn.sparsify as sp
 
-    graphs = mixed_corpus(150, base_seed=190_000, max_n=9) + [bowtie]
-    graphs += [gen_random(GenSpec(n=40, m=m, model="planted", seed=190_300 + i, sizes=(4,) * 13))
-               for i in range(10) for m in (40, 70)]
-    graphs += [gen_random(GenSpec(n=30, m=120, seed=190_500 + i, strongly_connected=True))
-               for i in range(10)]
-    graphs += [_triangles_on_a_random_graph(190_700 + i) for i in range(60)]
-    with_coarse_components = 0
+    graphs = [_triangles_on_a_random_graph(190_700 + i) for i in range(60)]
+    results = [sparsify_problem3(g) for g in graphs]
+    assert all(r.certificate_ok for r in results)
+    graphs = [g for g, r in zip(graphs, results) if r.coarse_components]
+    assert len(graphs) >= 10
+
+    class Retained(set):
+        lifts = 0
+
+        def add(self, edge):
+            self.lifts += 1
+            if dropped == "first" and self.lifts > 1:
+                super().add(edge)
+
+    problem1 = sp._problem1
+
+    def unlifted(g):
+        comps, per_component, retained = problem1(g)
+        return comps, per_component, Retained(retained)
+
+    monkeypatch.setattr(sp, "_problem1", unlifted)
     for g in graphs:
         r = sparsify_problem3(g)
-        assert r.certificate_ok
-        retained = sp._quotient(from_edge_list(g.n, r.edges), list(r.recomputed_components))
-        assert r.recomputed_coarse_components == tuple(two_vccs(retained.graph, "split"))
-        with_coarse_components += bool(r.coarse_components)
-    assert with_coarse_components >= 10
+        assert r.recomputed_components == r.components
+        assert r.certificate_ok is False
 
-    # A deletion test that accepts everything still fails problem 3's
-    # certificate on the graph where it fails problem 1's (the merge test
-    # covers all three problems already).
+
+def test_problem3_certificate_fails_an_accept_everything_deletion_test(monkeypatch):
+    # It fails on the graph where problem 1's does (the merge test covers
+    # all three problems already).
+    import vconn.sparsify as sp
+
     monkeypatch.setattr(sp, "_edge_set_is_2vc", lambda *args: True)
     assert sparsify_problem3(clique_cycle(173_000)).certificate_ok is False
 
 
-# The graph sets that the benchmark's workloads build with seed 1 for
-# ``sparsify2_s``, ``sparsify3_s`` and ``kvcc3_s``; graph i of set j has
-# generator seed 1000 + 100 j + i.
+# The sparsify2_s and sparsify3_s workloads build these sets with seed 1
+# (with the kvcc3_s and cut_s sets in conftest).
+PLANTED_CHAIN_SPARSIFY_SET = [
+    GenSpec(n=1000, m=4000, model="planted", seed=1000 + i, sizes=(4,) * 333) for i in range(5)
+]
 BENCHMARK_SETS = {
-    "uniform-4n": [GenSpec(n=30, m=120, seed=1100 + i, strongly_connected=True)
-                   for i in range(28)],
-    "planted-chain": [GenSpec(n=1000, m=4000, model="planted", seed=1000 + i, sizes=(4,) * 333)
-                      for i in range(5)],
-    "kvcc-dense": [GenSpec(n=51, m=51, model="planted", seed=1000 + i, sizes=(6,) * 10,
-                           strongly_connected=True) for i in range(16)],
+    "uniform-4n": UNIFORM_CUT_SET,
+    "planted-chain": PLANTED_CHAIN_SPARSIFY_SET,
+    "kvcc-dense": KVCC_DENSE_SET,
 }
 
 # (``_quotient`` calls, SCC passes) summed over each set: exact work
-# baselines, free of timing noise.  Problem 3 coarsens once per graph, and
-# a certificate split at a vertex that leaves one SCC makes one SCC pass.
-# Before either held, the sparsifier rows read (56, 274), (28, 540),
-# (10, 10025) and (32, 128) where they now differ.
+# baselines, free of timing noise.  Problem 3 coarsens g and, for its
+# certificate, the retained graph, with one SCC pass each.  A certificate
+# split at a vertex that leaves one SCC makes one SCC pass; before it did,
+# uniform-4n sparsify2 read 540 passes.
 BENCHMARK_WORK = {
-    ("uniform-4n", "sparsify3"): (28, 246),
+    ("uniform-4n", "sparsify3"): (56, 274),
     ("uniform-4n", "sparsify2"): (28, 472),
-    ("uniform-4n", "kvcc3"): (0, 1029),
-    ("planted-chain", "sparsify3"): (5, 10_020),
+    ("planted-chain", "sparsify3"): (10, 10_025),
     ("planted-chain", "sparsify2"): (5, 10_025),
-    ("kvcc-dense", "sparsify3"): (16, 112),
+    ("kvcc-dense", "sparsify3"): (32, 128),
     ("kvcc-dense", "sparsify2"): (16, 128),
-    ("kvcc-dense", "kvcc3"): (0, 32),
 }
-BENCHMARK_CALLS = {
-    "sparsify3": sparsify_problem3,
-    "sparsify2": sparsify_problem2,
-    "kvcc3": lambda g: k_vccs(g, 3),
-}
+BENCHMARK_CALLS = {"sparsify3": sparsify_problem3, "sparsify2": sparsify_problem2}
 
 
 @pytest.mark.parametrize("case", sorted(BENCHMARK_WORK), ids="-".join)

@@ -207,14 +207,6 @@ def test_problem1_is_built_in_one_place():
     assert in_sparsify("_problem1") == {f"sparsify_problem{i}" for i in (1, 2, 3)}
 
 
-def test_each_sparsifier_coarsens_once():
-    # Problem 3 certifies the graph of the coarse edges it kept, which is
-    # the retained graph's coarsened graph once the components agree, so
-    # no call coarsens a second time.
-    calls = [fn for path, fn in _calls_by_function("_quotient") if path == "sparsify.py"]
-    assert sorted(calls) == ["coarsen", "sparsify_problem2", "sparsify_problem3"]
-
-
 def test_only_the_public_degree2_entry_point_tests_2_vertex_connectivity():
     # The sparsifiers take each component's 2-vertex-connectivity from the
     # engine that built it; only ``min_degree2_subgraph`` (and through it
