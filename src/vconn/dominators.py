@@ -4,9 +4,11 @@ The tree is computed with the simple Lengauer-Tarjan variant:
 semidominators plus path-compressed EVAL/LINK, which is near-linear and
 much easier to validate than the true linear-time algorithms.  Everything
 is iterative; recursion depth would otherwise reach n on path-like inputs.
-The depth-first search keeps frames of a dfs number and an iterator over
-that vertex's remaining out-neighbours, as the searches in
-``connectivity`` do, so its preorder is the recursive one.
+The depth-first search, ``_preorder``, keeps frames of a dfs number and
+an iterator over that vertex's remaining neighbours, as the searches in
+``connectivity`` do, so its preorder and tree are the recursive ones.
+``sparsify.approx_mscss`` takes its two arborescences from the same
+search.
 
 Derived sets used by the connectivity algorithms:
 
@@ -42,6 +44,32 @@ class DominatorTree:
         return len(self.children)
 
 
+def _preorder(adj, v: int) -> tuple[list[int], list[int], list[int]]:
+    """Depth-first search from v along the rows ``adj``, each scanned in
+    order: ``dfnum[w]`` is w's preorder number (-1 if unreached), ``pre``
+    lists the reached vertices in preorder, and ``parent[d]`` is the dfs
+    number of the tree parent of the vertex numbered d (-1 for v).
+    The preorder and the tree are those of the recursive search.
+    """
+    dfnum = [-1] * len(adj)
+    dfnum[v] = 0
+    pre = [v]
+    parent = [-1]
+    stack = [(0, iter(adj[v]))]
+    while stack:
+        x, neighbours = stack[-1]
+        for w in neighbours:
+            if dfnum[w] == -1:
+                dfnum[w] = d = len(pre)
+                pre.append(w)
+                parent.append(x)
+                stack.append((d, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+    return dfnum, pre, parent
+
+
 def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
     """Dominator tree of the flowgraph (g, v).
 
@@ -52,26 +80,8 @@ def dominator_tree(g: DiGraph, v: int) -> DominatorTree:
     n = g.n
     if not 0 <= v < n:
         raise VertexOutOfRange(f"start vertex {v} outside [0, {n})")
-    out_adj = g.out_adj
     in_adj = g.in_adj
-
-    # DFS preorder; frames are (dfs number, unscanned out-neighbours).
-    dfnum = [-1] * n
-    dfnum[v] = 0
-    pre = [v]
-    parent = [-1]  # dfs-number space
-    stack = [(0, iter(out_adj[v]))]
-    while stack:
-        x, neighbours = stack[-1]
-        for w in neighbours:
-            if dfnum[w] == -1:
-                dfnum[w] = d = len(pre)
-                pre.append(w)
-                parent.append(x)
-                stack.append((d, iter(out_adj[w])))
-                break
-        else:
-            stack.pop()
+    dfnum, pre, parent = _preorder(g.out_adj, v)
     if len(pre) != n:
         noun = "vertex" if len(pre) == n - 1 else "vertices"
         raise NotAFlowgraph(f"{n - len(pre)} {noun} unreachable from {v}")

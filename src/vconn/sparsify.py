@@ -65,8 +65,9 @@ from dataclasses import dataclass
 from ._flow import FlowNetwork, _min_st_vertex_cut
 from .articulation import is_2vertex_connected
 from .connectivity import is_strongly_connected, strongly_connected_components
+from .dominators import _preorder
 from .errors import NotStronglyConnected, NotTwoVertexConnected
-from .graph import DiGraph, Edge, induced_subgraph, strip_labels
+from .graph import DiGraph, Edge, induced_subgraph
 from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
 
 
@@ -125,12 +126,12 @@ class SparsifyResult:
 
 def coarsen(g: DiGraph) -> CoarsenedGraph:
     """Contract each union of overlapping components to a super-vertex."""
-    g = strip_labels(g)
     return _quotient(g, two_vccs_domtree(g))
 
 
 def _quotient(g: DiGraph, comps: ComponentList) -> CoarsenedGraph:
-    """``coarsen`` for a label-free g whose components are already known.
+    """``coarsen`` for a g whose components are already known; like
+    every result here, it is in g's own ids, whatever g's labels are.
 
     The classes are the SCCs of the star graph that joins each
     component's first vertex to its other vertices in both directions:
@@ -162,7 +163,11 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
 
     Solved exactly: deleting an edge (u, v) spends one unit of u's
     out-budget (outdeg-2) and one of v's in-budget (indeg-2), so the
-    maximum number of deletable edges is a bipartite flow.
+    maximum number of deletable edges is a bipartite flow.  Every vertex
+    gets a source arc and a sink arc with its budgets as capacities; g is
+    2-vertex-connected, so no budget is negative, and a vertex of degree 2
+    gets arcs of capacity 0, which neither the seed nor a search crosses.
+    So the paths below are those of a network without such arcs.
 
     The flow is seeded greedily and finished by Edmonds-Karp, and the kept
     edges are exactly those of plain Edmonds-Karp on the same network.
@@ -200,20 +205,12 @@ def _min_degree2_edges(g: DiGraph) -> tuple[Edge, ...]:
     source, sink = 0, 1
     net = FlowNetwork(2 + 2 * n)
     cap = net.cap
-    source_arcs = [-1] * n
-    for v in range(n):
-        out_budget = len(g.out_adj[v]) - 2
-        if out_budget > 0:
-            source_arcs[v] = net.add_edge(source, 2 + v, out_budget)
+    source_arcs = [net.add_edge(source, 2 + v, len(g.out_adj[v]) - 2) for v in range(n)]
     edge_arcs = [net.add_edge(2 + u, 2 + n + v, 1) for u, v in edges]
-    sink_arcs = [-1] * n
-    for v in range(n):
-        in_budget = len(g.in_adj[v]) - 2
-        if in_budget > 0:
-            sink_arcs[v] = net.add_edge(2 + n + v, sink, in_budget)
+    sink_arcs = [net.add_edge(2 + n + v, sink, len(g.in_adj[v]) - 2) for v in range(n)]
     for (u, v), arc in zip(edges, edge_arcs):
         a, b = source_arcs[u], sink_arcs[v]
-        if a >= 0 and b >= 0 and cap[a] > 0 and cap[b] > 0:
+        if cap[a] > 0 and cap[b] > 0:
             cap[a] -= 1
             cap[a ^ 1] += 1
             cap[arc] = 0
@@ -288,25 +285,6 @@ def _prune_to_2vcss(g: DiGraph, core: set[Edge]) -> tuple[Edge, ...]:
     return _prune([list(row) for row in g.out_adj], candidates, _edge_set_is_2vc)
 
 
-def _dfs_tree(adj) -> list[Edge]:
-    """(parent, child) pairs of the DFS tree from vertex 0 along ``adj``;
-    each row is pushed in order, so its last entry is explored first."""
-    seen = [False] * len(adj)
-    stack = [(0, -1)]
-    tree: list[Edge] = []
-    while stack:
-        u, p = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        if p >= 0:
-            tree.append((p, u))
-        for w in adj[u]:
-            if not seen[w]:
-                stack.append((w, u))
-    return tree
-
-
 def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     """Strongly connected spanning edge set within 2x of the minimum.
 
@@ -320,12 +298,14 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
-    # The out-arborescence explores ascending neighbours first and the
-    # in-arborescence, along reversed edges, descending ones: the opposite
-    # orientation lets the two trees share cycle edges instead of doubling
-    # them.
-    union = set(_dfs_tree([row[::-1] for row in g.out_adj]))
-    union.update((u, p) for p, u in _dfs_tree(g.in_adj))
+    # Both arborescences are depth-first trees from vertex 0: the out-tree
+    # explores ascending neighbours first and the in-tree, along reversed
+    # edges, descending ones; the opposite orientation lets the two trees
+    # share cycle edges instead of doubling them.
+    _, pre, parent = _preorder(g.out_adj, 0)
+    union = {(pre[parent[d]], pre[d]) for d in range(1, g.n)}
+    _, pre, parent = _preorder([row[::-1] for row in g.in_adj], 0)
+    union.update((pre[d], pre[parent[d]]) for d in range(1, g.n))
     edges = sorted(union)
     rows: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in edges:
@@ -334,8 +314,8 @@ def approx_mscss(g: DiGraph) -> tuple[Edge, ...]:
 
 
 def _problem1(g: DiGraph) -> tuple[ComponentList, tuple[tuple[Edge, ...], ...], set[Edge]]:
-    """Problem 1 on a label-free g: its components, and an approximate
-    2-VCSS of each, per component and united.
+    """Problem 1 on g: its components, and an approximate 2-VCSS of each,
+    per component and united, all in g's own ids whatever g's labels are.
 
     The components come from one ``two_vccs_domtree`` call, which outputs
     a piece only once its articulation test finds no strong articulation
@@ -347,15 +327,14 @@ def _problem1(g: DiGraph) -> tuple[ComponentList, tuple[tuple[Edge, ...], ...], 
     for comp in comps:
         sub = induced_subgraph(g, comp)
         kept = _prune_to_2vcss(sub, set(_min_degree2_edges(sub)))
-        # g is label-free, so sub's local ids are comp's ascending members:
-        # the kept edges map through comp and stay ascending.
+        # sub's local ids are comp's ascending members, so the kept edges
+        # map through comp and stay ascending.
         per_component.append(tuple((comp[u], comp[v]) for u, v in kept))
     return comps, tuple(per_component), set().union(*per_component)
 
 
 def sparsify_problem1(g: DiGraph) -> SparsifyResult:
     """Fewest edges (approximately) whose graph has the same components."""
-    g = strip_labels(g)
     comps, per_component, retained = _problem1(g)
     edges = tuple(sorted(retained))
     return SparsifyResult(
@@ -369,7 +348,6 @@ def sparsify_problem1(g: DiGraph) -> SparsifyResult:
 
 def sparsify_problem2(g: DiGraph) -> SparsifyResult:
     """Problem 1 plus strong connectivity of the retained graph."""
-    g = strip_labels(g)
     if not is_strongly_connected(g):
         raise NotStronglyConnected(f"{g!r} is not strongly connected")
     comps, per_component, retained = _problem1(g)
@@ -390,7 +368,6 @@ def sparsify_problem2(g: DiGraph) -> SparsifyResult:
 
 def sparsify_problem3(g: DiGraph) -> SparsifyResult:
     """Problem 1 on the graph and on its coarsened graph simultaneously."""
-    g = strip_labels(g)
     comps, per_component, retained = _problem1(g)
     coarse = _quotient(g, comps)
     coarse_comps, _, coarse_retained = _problem1(coarse.graph)

@@ -19,7 +19,8 @@ from vconn import (
     two_vccs,
 )
 from vconn._flow import FlowNetwork
-from vconn.errors import NotStronglyConnected, NotTwoVertexConnected
+from vconn.errors import GraphError, NotStronglyConnected, NotTwoVertexConnected
+from vconn.graph import strip_labels
 from vconn.testkit import GenSpec, _quotient, brute_mscss, brute_opt_sparsifier, gen_random
 
 from conftest import KVCC_DENSE_SET, UNIFORM_CUT_SET, bidirected, mixed_corpus
@@ -106,7 +107,7 @@ def plain_edmonds_karp_core(g):
     return tuple(e for e, arc in zip(edges, edge_arcs) if net.cap[arc] > 0)
 
 
-def test_seeded_core_matches_plain_edmonds_karp():
+def _budget_flow_graphs():
     graphs = [clique_cycle(174_000 + i) for i in range(4)]
     graphs += [gen_random(GenSpec(n=250, m=250, model="planted", seed=174_100 + i,
                                   sizes=(4,) * 83, strongly_connected=True))
@@ -116,13 +117,48 @@ def test_seeded_core_matches_plain_edmonds_karp():
     for i, (n, p) in enumerate([(30, 0.5), (34, 0.7), (37, 0.8), (40, 0.9)]):
         graphs.append(gen_random(GenSpec(n=n, m=int(p * n * (n - 1)), seed=174_300 + i,
                                          strongly_connected=True)))
-    pieces = 0
+    return graphs
+
+
+def _has_a_zero_budget(piece):
+    return any(len(row) == 2 for row in piece.out_adj + piece.in_adj)
+
+
+def test_seeded_core_matches_plain_edmonds_karp():
+    graphs = _budget_flow_graphs()
+    pieces = zero_budget = 0
     for g in graphs:
         for comp in two_vccs(g):
             piece = induced_subgraph(g, comp)
             assert min_degree2_subgraph(piece) == plain_edmonds_karp_core(piece)
             pieces += 1
+            zero_budget += _has_a_zero_budget(piece)
     assert pieces >= len(graphs)
+    # The reference network leaves out the budget arcs of a degree-2
+    # vertex, which the library's network gives capacity 0.
+    assert zero_budget >= 3
+
+
+def test_budget_network_has_both_budget_arcs_of_every_vertex(monkeypatch):
+    # 2n budget arcs (those of a degree-2 vertex with capacity 0) and one
+    # arc per edge, counted without their reverse arcs.
+    arcs = []
+    max_flow = FlowNetwork.max_flow
+
+    def spy(self, s, t, limit):
+        arcs.append(len(self.to) // 2)
+        return max_flow(self, s, t, limit)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", spy)
+    zero_budget = 0
+    for g in _budget_flow_graphs():
+        for comp in two_vccs(g):
+            piece = induced_subgraph(g, comp)
+            arcs.clear()
+            min_degree2_subgraph(piece)
+            assert arcs == [2 * piece.n + piece.m]
+            zero_budget += _has_a_zero_budget(piece)
+    assert zero_budget >= 3
 
 
 def test_min_degree2_subgraph_is_minimum():
@@ -217,9 +253,27 @@ def test_approx_mscss_bound_and_validity():
     assert count > 40
 
 
-def _arborescence_union(g):
-    from vconn.sparsify import _dfs_tree
+def _dfs_tree(adj):
+    """(parent, child) pairs of the DFS tree from vertex 0 along ``adj``,
+    by a stack search that shares no code with the library's: each row is
+    pushed in order, so its last entry is explored first."""
+    seen = [False] * len(adj)
+    stack = [(0, -1)]
+    tree = []
+    while stack:
+        u, p = stack.pop()
+        if seen[u]:
+            continue
+        seen[u] = True
+        if p >= 0:
+            tree.append((p, u))
+        for w in adj[u]:
+            if not seen[w]:
+                stack.append((w, u))
+    return tree
 
+
+def _arborescence_union(g):
     union = set(_dfs_tree([row[::-1] for row in g.out_adj]))
     union.update((u, p) for p, u in _dfs_tree(g.in_adj))
     return union
@@ -358,6 +412,32 @@ def test_certificates_and_decomposition():
         else:
             with pytest.raises(NotStronglyConnected):
                 sparsify_problem2(g)
+
+
+def _outcome(call, g):
+    try:
+        return call(g)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_sparsifiers_answer_in_the_graphs_own_ids_whatever_its_labels():
+    # A subgraph carries its parent's ids as labels; every result is in the
+    # subgraph's own ids, so it equals the result on a label-free copy.
+    graphs = mixed_corpus(200, base_seed=178_000, max_n=12)
+    graphs += [gen_random(GenSpec(n=3 * count + 1, m=12 * count + i % 4, model="planted",
+                                  seed=178_500 + i, sizes=(4,) * count,
+                                  strongly_connected=i % 2 == 0))
+               for i, count in enumerate([2, 3, 4, 5, 6] * 4)]
+    calls = (sparsify_problem1, sparsify_problem2, sparsify_problem3, coarsen)
+    labelled = 0
+    for g in graphs:
+        h = induced_subgraph(g, [v for v in range(g.n) if v % 5 != 4])
+        for call in calls:
+            assert _outcome(call, h) == _outcome(call, strip_labels(h))
+        if h.origin_labels != tuple(range(h.n)) and two_vccs(h):
+            labelled += 1
+    assert labelled >= 20
 
 
 def test_ratios_against_brute_force():

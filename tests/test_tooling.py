@@ -195,6 +195,26 @@ def test_one_vertex_cut_kernel_and_one_flow_network():
     }
 
 
+def test_one_depth_first_search_and_no_label_stripping_in_the_sparsifier():
+    # The dominator tree and the sparsifier's two arborescences come from
+    # one search, and every sparsifier answers in its input's own ids, so
+    # it strips no labels.
+    assert set(_calls_by_function("_preorder")) == {
+        ("dominators.py", "dominator_tree"),
+        ("sparsify.py", "approx_mscss"),
+    }
+    assert [
+        path.name for path in sorted(SRC.rglob("*.py")) if "_dfs_tree" in path.read_text(encoding="utf-8")
+    ] == []
+    tree = ast.parse((SRC / "sparsify.py").read_text(encoding="utf-8"))
+    assert not any(
+        (isinstance(node, ast.Name) and node.id == "strip_labels")
+        or (isinstance(node, ast.Attribute) and node.attr == "strip_labels")
+        or (isinstance(node, ast.alias) and node.name == "strip_labels")
+        for node in ast.walk(tree)
+    )
+
+
 def test_problem1_is_built_in_one_place():
     # Problems 2 and 3 are problem 1 plus one step on the coarsened graph,
     # so every sparsifier reaches the engine and the degree-2 core through
