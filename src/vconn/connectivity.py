@@ -182,32 +182,28 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return ncomp == 1
 
 
-def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the biconnected blocks of an undirected graph.
+def _blocks(n: int, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Biconnected blocks of the undirected graph whose adjacency is rows.
 
-    Every block of size >= 2 is reported, so bridges appear as pairs.
-    Isolated vertices contribute nothing.  Output is canonical: each set
-    sorted ascending, list sorted lexicographically.
-
-    The search keeps its open vertices, not its edges (Hopcroft-Tarjan in
-    vertex-stack form): each non-root vertex is pushed when discovered,
-    and when a tree child v of p has low[v] >= disc[p], the block is p
-    with every vertex popped down to v.
+    A row may list a neighbour twice, as the out- plus in-row of a
+    directed graph does for a bidirected pair.  The search keeps its open
+    vertices, not its edges (Hopcroft-Tarjan in vertex-stack form): each
+    non-root vertex is pushed when discovered, and when a tree child v of
+    p has low[v] >= disc[p], the block is p with every vertex popped down
+    to v.
     """
-    n = u.n
-    adj = u.adj
     disc = [-1] * n
     low = [0] * n
     open_vertices: list[int] = []
     blocks: list[tuple[int, ...]] = []
     counter = 0
     for root in range(n):
-        if disc[root] != -1 or not adj[root]:
+        if disc[root] != -1 or not rows[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
         # Frames are (vertex, its unscanned neighbours).
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, iter(rows[root]))]
         while stack:
             v, neighbours = stack[-1]
             for w in neighbours:
@@ -215,10 +211,11 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
                     disc[w] = low[w] = counter
                     counter += 1
                     open_vertices.append(w)
-                    stack.append((w, iter(adj[w])))
+                    stack.append((w, iter(rows[w])))
                     break
-                # The tree parent p lowers low[v] to disc[p] at most, which
-                # leaves low[p] and the block test below as they were.
+                # The tree parent p, listed once or twice, lowers low[v] to
+                # disc[p] at most, which leaves low[p] and the block test
+                # below as they were.
                 if disc[w] < low[v]:
                     low[v] = disc[w]
             else:
@@ -233,3 +230,14 @@ def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...
                             block.append(open_vertices.pop())
                         blocks.append(tuple(sorted(block)))
     return sorted(blocks)
+
+
+def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...]]:
+    """Vertex sets of the biconnected blocks of an undirected graph.
+
+    Every block of size >= 2 is reported, so bridges appear as pairs.
+    Isolated vertices contribute nothing.  Output is canonical: each set
+    sorted ascending, list sorted lexicographically.  ``_blocks`` does the
+    work, on raw rows that may repeat a neighbour.
+    """
+    return _blocks(u.n, u.adj)

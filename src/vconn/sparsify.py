@@ -52,10 +52,9 @@ deletion that breaks a component.  It does not prove that the claimed
 list is g's: a component or a vertex that the engine leaves out keeps no
 edges, so the retained graph lacks it too and the two lists agree.  A
 failed certificate makes ``certificate_ok`` False, and ``vconn sparsify``
-exits 1 on it.  ``split`` cuts a piece at every
-strong articulation point one test finds before it tests a piece again,
-so on a bare chain of q cliques a certificate costs q + 1 articulation
-tests: one on the whole chain, one per clique.
+exits 1 on it.  ``split`` starts from the blocks of
+the undirected shadow, so on a bare chain of q cliques a certificate
+costs q articulation tests, one per clique.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ Variants:
                   the pieces holding v are kept, each shrunk to the
                   root-children intersection of the two dominator trees
                   at v, or split at v.  O(n^2 * m).
-* ``split``     - recursively split at a strong articulation point w into
-                  the SCCs of G minus w (each rejoined with w), splitting
-                  at every point one articulation test finds before a
-                  piece is tested again.  O(n * m).
+* ``split``     - cut G into the biconnected blocks of its undirected
+                  shadow, which hold whole components, then test each
+                  strongly connected piece and split one with points at
+                  its median point w into the SCCs of the piece minus w
+                  (each rejoined with w), testing those again.  O(n * m).
 * ``domtree``   - first shrink each piece to its (2,2)-core and re-split
                   that into SCCs; only a piece whose in- and out-degrees
                   are all >= 2 gets a round.  Then one rule per round, from
@@ -48,13 +49,11 @@ keep sharing no step with it beyond ``_strong_pieces``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .articulation import _points_and_trees, is_2vertex_connected
-from .connectivity import _degree_core, _scc_ids, _strong_pieces, undirected_biconnected_components
+from .connectivity import _blocks, _degree_core, _scc_ids, _strong_pieces
 from .dominators import nontrivial_dominators, root_children
 from .errors import UnknownVariant, VertexOutOfRange
-from .graph import DiGraph, induced_subgraph, strip_labels, underlying_undirected
+from .graph import DiGraph, induced_subgraph, strip_labels
 
 Component = tuple[int, ...]
 ComponentList = list[Component]
@@ -107,7 +106,7 @@ def es_fixpoint(g: DiGraph) -> DiGraph:
 def two_vccs_es(g: DiGraph) -> ComponentList:
     """Components via the edge-pruning fixpoint and undirected blocks."""
     pruned = es_fixpoint(g)
-    blocks = undirected_biconnected_components(underlying_undirected(pruned))
+    blocks = _blocks(pruned.n, [o + i for o, i in zip(pruned.out_adj, pruned.in_adj)])
     comps = [b for b in blocks if len(b) >= 3]
     for c in comps:
         if not is_2vertex_connected(induced_subgraph(pruned, c)):
@@ -118,36 +117,30 @@ def two_vccs_es(g: DiGraph) -> ComponentList:
 def two_vccs_split(g: DiGraph) -> ComponentList:
     """Components by recursive splitting at strong articulation points.
 
-    One articulation test finds all the points of a piece, and the piece
-    is split at each of them in turn: every work item carries, in g's
-    ids, the points inherited from the last test above it that its
-    vertices still hold.  A split hands each piece the remaining points
-    among its own labels, read in label order, so each share stays
-    ascending.  A split at any single vertex keeps every component inside
-    one piece, so an inherited vertex that is no longer a point of its
-    piece is harmless: the split at it returns that piece itself, and the
-    vertex is used up.  Only a piece with no inherited points runs a test;
-    with no points it is a component, otherwise its points are inherited
-    anew.  Every split uses up one point, and a test that finds points
-    splits at a real one, so the loop ends.  A chain of q >= 2 cliques
-    takes q + 1 tests: one on the chain, one per clique.
+    The graph is first cut into the biconnected blocks of its undirected
+    shadow.  A component stays strongly connected, so connected, without
+    any one of its vertices; its shadow is biconnected, and it lies within
+    one block.  So the strongly connected pieces of the blocks of >= 3
+    vertices hold every component, and on a tree of blocks one linear pass
+    does what would otherwise take one split per joint.  Each piece then
+    runs one articulation test: with no points it is a component,
+    otherwise it is split at the median of its points and each resulting
+    piece is tested again.  A split at a point yields pieces smaller than
+    their parent, so the loop ends.  A chain of q cliques takes q tests,
+    one per clique, and no split.
     """
-    work = [(h, []) for h in _strong_pieces(strip_labels(g))]
+    base = strip_labels(g)
+    blocks = _blocks(g.n, [o + i for o, i in zip(base.out_adj, base.in_adj)])
+    work = [h for b in blocks if len(b) >= 3 for h in _strong_pieces(induced_subgraph(base, b))]
     out: list[tuple[int, ...]] = []
     while work:
-        h, points = work.pop()  # h strongly connected, n >= 3; points ascending
-        labels = h.origin_labels  # ascending, so bisect finds a point's local id
+        h = work.pop()  # strongly connected, n >= 3
+        points = sorted(_points_and_trees(h)[0])
         if not points:
-            points = sorted(labels[i] for i in _points_and_trees(h)[0])
-            if not points:
-                out.append(labels)
-                continue
+            out.append(h.origin_labels)
+            continue
         # The median keeps the recursion balanced on chain-like inputs.
-        x = points.pop(len(points) // 2)
-        # Pieces meet only at x, so every other point lies in at most one.
-        rest = set(points)
-        for piece in _strong_pieces(h, (bisect_left(labels, x),)):
-            work.append((piece, [v for v in piece.origin_labels if v in rest]))
+        work.extend(_strong_pieces(h, (points[len(points) // 2],)))
     return _canonical(out, g.n)
 
 

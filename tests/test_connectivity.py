@@ -16,7 +16,7 @@ from vconn import (
     underlying_undirected,
     undirected_biconnected_components,
 )
-from vconn.connectivity import _degree_core, _strong_pieces
+from vconn.connectivity import _blocks, _degree_core, _strong_pieces
 from vconn.graph import UndirectedGraph, strip_labels
 from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
@@ -246,10 +246,13 @@ def _brute_blocks(u):
 
 
 def test_blocks_match_their_definition():
-    # Bridges come out as pairs, and isolated vertices in no block.
+    # Bridges come out as pairs, and isolated vertices in no block.  The
+    # out- plus in-rows of g list a bidirected pair's neighbour twice.
     for g in mixed_corpus(300, max_n=8):
         u = underlying_undirected(g)
         assert undirected_biconnected_components(u) == _brute_blocks(u), g.edges
+        rows = [o + i for o, i in zip(g.out_adj, g.in_adj)]
+        assert _blocks(g.n, rows) == _brute_blocks(u), g.edges
 
 
 def test_blocks_deterministic():

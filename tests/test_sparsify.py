@@ -558,11 +558,11 @@ BENCHMARK_SETS = {
 # split at a vertex that leaves one SCC makes one SCC pass; before it did,
 # uniform-4n sparsify2 read 540 passes.
 BENCHMARK_WORK = {
-    ("uniform-4n", "sparsify3"): (56, 274),
-    ("uniform-4n", "sparsify2"): (28, 472),
-    ("planted-chain", "sparsify3"): (10, 10_025),
-    ("planted-chain", "sparsify2"): (5, 10_025),
-    ("kvcc-dense", "sparsify3"): (32, 128),
+    ("uniform-4n", "sparsify3"): (56, 246),
+    ("uniform-4n", "sparsify2"): (28, 439),
+    ("planted-chain", "sparsify3"): (10, 6_695),
+    ("planted-chain", "sparsify2"): (5, 6_700),
+    ("kvcc-dense", "sparsify3"): (32, 112),
     ("kvcc-dense", "sparsify2"): (16, 128),
 }
 BENCHMARK_CALLS = {"sparsify3": sparsify_problem3, "sparsify2": sparsify_problem2}

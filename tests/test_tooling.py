@@ -87,9 +87,9 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
         or (isinstance(node, ast.Attribute) and node.attr == "_degree_core")
     ]
     assert found == []
-    # ``split`` shares only the articulation test and the piece splitter
-    # with the production engine: it may read no dominator tree, build no
-    # subgraph of its own and prune nothing.
+    # ``split`` shares only the articulation test, the piece splitter and
+    # the subgraph builder with the production engine, and adds the shadow's
+    # blocks: it may read no dominator tree and prune nothing.
     module_names = {
         alias.asname or alias.name
         for node in tree.body
@@ -104,9 +104,10 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
     }
     assert "_points_and_trees" in split_names
     assert split_names & module_names <= {
-        "_points_and_trees", "_strong_pieces", "strip_labels", "_canonical", "bisect_left"
+        "_points_and_trees", "_strong_pieces", "strip_labels", "_canonical", "_blocks",
+        "induced_subgraph",
     }
-    forbidden = {"nontrivial_dominators", "root_children", "induced_subgraph", "_degree_core"}
+    forbidden = {"nontrivial_dominators", "root_children", "_degree_core"}
     assert split_names & forbidden == set()
 
 

@@ -215,66 +215,93 @@ def _spy_on_tests(monkeypatch):
     return tests
 
 
-def test_split_tests_a_piece_only_when_its_inherited_points_run_out(monkeypatch):
-    # One test on a chain of q cliques finds its q - 1 joints, and the
-    # chain is split at all of them before any piece is tested again, so
-    # each clique then takes one test: q + 1 in all.
+def test_split_tests_each_block_of_a_chain_once(monkeypatch):
+    # The cliques of a chain are the blocks of its undirected shadow, so
+    # each is one piece before any test, and takes one test: q in all.
     tests = _spy_on_tests(monkeypatch)
     for q in (2, 3, 10, 40):
         g = gen_random(GenSpec(n=3 * q + 1, m=0, model="planted", sizes=(4,) * q))
         tests.clear()
         assert len(two_vccs_split(g)) == q
-        assert len(tests) == q + 1, q
+        assert len(tests) == q, q
     # The sparsifier's certificate on the benchmark's first planted chain:
-    # 1000 vertices in one test, then 333 cliques of 4.
+    # 333 cliques of 4, tested once each.
     g = gen_random(GenSpec(n=1000, m=4000, model="planted", sizes=(4,) * 333, seed=1000))
     sparse = from_edge_list(g.n, sparsify_problem2(g).edges)
     tests.clear()
+    cuts = _spy_on_cut_splits(monkeypatch)
     comps = two_vccs_split(sparse)
-    assert len(tests) == 334
-    assert sum(n for n, _ in tests) == 2332
+    assert len(tests) == 333
+    assert sum(n for n, _ in tests) == 1332
+    assert cuts == []
+    monkeypatch.undo()
     assert comps == two_vccs_domtree(sparse)
+    # Its noise edges join some cliques into one block, which then splits.
+    assert two_vccs_split(g) == two_vccs_domtree(g)
 
 
-def test_split_at_an_inherited_vertex_that_is_no_longer_a_point(monkeypatch):
-    # After a split, an inherited vertex may be no point of its new piece;
-    # the split at it then returns that piece itself, not a copy, and the
-    # answer must not change.  On these small graphs that happens often.
-    unchanged = []
+def _spy_on_cut_splits(monkeypatch):
+    # The size of every piece that twovcc splits at a cut.
+    cuts = []
     real = twovcc._strong_pieces
 
     def spy(h, cut=()):
-        pieces = real(h, cut)
-        if cut and [p.n for p in pieces] == [h.n]:
-            assert pieces[0] is h
-            unchanged.append(h.origin_labels)
-        return pieces
+        if cut:
+            cuts.append(h.n)
+        return real(h, cut)
 
     monkeypatch.setattr(twovcc, "_strong_pieces", spy)
-    g = gen_random(GenSpec(n=8, m=16, seed=2, strongly_connected=True))
-    assert two_vccs_split(g) == brute_two_vccs(g) == two_vccs_domtree(g)
-    assert unchanged
-    with_components = 0
+    return cuts
+
+
+def _blocks_in_a_random_tree(q, ring, seed):
+    # q bidirected blocks of ``ring`` + 1 vertices, each sharing one
+    # seeded vertex with the blocks before it: 4-cliques at ring=3 and
+    # 5-cycles (a cactus) at ring=4.
+    rng = random.Random(seed)
+    edges, n = [], 1
+    for _ in range(q):
+        block = [rng.randrange(n), *range(n, n + ring)]
+        n += ring
+        if ring == 3:
+            pairs = [(u, v) for u in block for v in block if u < v]
+        else:
+            pairs = list(zip(block, block[1:] + block[:1]))
+        edges += pairs + [(v, u) for u, v in pairs]
+    return from_edge_list(n, edges)
+
+
+def test_split_works_block_by_block(monkeypatch):
+    # Blocks in a random tree take one test each and no split at a vertex.
+    tests = _spy_on_tests(monkeypatch)
+    cuts = _spy_on_cut_splits(monkeypatch)
+    for q in (10, 200):
+        for ring in (3, 4):
+            g = _blocks_in_a_random_tree(q, ring, seed=7)
+            tests.clear()
+            assert len(two_vccs_split(g)) == q
+            assert (len(tests), cuts) == (q, []), (q, ring)
+    # One edge closing a bare chain of 333 cliques makes it one block with
+    # 332 points.  Each piece is tested, split at its median point and
+    # tested again: 332 splits in two make 665 tests at any pick, but the
+    # median keeps the tested pieces at 10,118 vertices in all, where the
+    # first or last point, which peels one clique a split, gives 168,494.
+    chain = gen_random(GenSpec(n=1000, m=0, model="planted", sizes=(4,) * 333))
+    g = from_edge_list(1000, (*chain.edges, (999, 0)))
+    tests.clear()
+    comps = two_vccs_split(g)
+    assert len(tests) == 665
+    assert sum(n for n, _ in tests) == 10_118
+    assert len(cuts) == 332
+    monkeypatch.undo()
+    assert comps == two_vccs_domtree(g)
+
+
+def test_split_matches_the_oracle_on_small_strongly_connected_graphs():
     for i in range(200):
         n = 6 + i % 7
         g = gen_random(GenSpec(n=n, m=2 * n, seed=3_000 + i, strongly_connected=True))
-        unchanged.clear()
-        comps = two_vccs_split(g)
-        assert comps == brute_two_vccs(g), i
-        with_components += bool(unchanged and comps)
-    assert with_components >= 2
-
-
-def test_split_takes_new_points_from_a_test_below_the_top(monkeypatch):
-    # Noise edges keep some joints of this chain from being points of the
-    # whole graph; they become points of pieces below it, which a fresh
-    # test on those pieces finds.
-    tests = _spy_on_tests(monkeypatch)
-    g = gen_random(GenSpec(n=1000, m=4000, model="planted", sizes=(4,) * 333, seed=1000))
-    comps = two_vccs_split(g)
-    assert [points for _, points in tests[1:] if points] == [31, 87]
-    monkeypatch.undo()
-    assert comps == two_vccs_domtree(g)
+        assert two_vccs_split(g) == brute_two_vccs(g), i
 
 
 def test_domtree_builds_trees_only_in_the_articulation_test(monkeypatch, bowtie):
@@ -315,7 +342,15 @@ def test_domtree_recurses_on_the_tree_with_more_nontrivial_dominators(monkeypatc
     # child of vertex 0, so its one sibling set is the whole piece, and a
     # round that recursed on it would push the same piece forever.  The
     # engine takes the tree with more non-trivial dominators; fixing it to
-    # either tree repeats a piece on one of these seeds.
+    # either tree repeats a piece on one of these seeds.  ``split`` builds
+    # its blocks with the same function, and one block can be all of g, so
+    # its answers are read before the spy goes in.
+    graphs = [
+        gen_random(GenSpec(n=13, m=0, model="planted", seed=seed, sizes=(4,) * 4,
+                           strongly_connected=True))
+        for seed in (27, 233)
+    ]
+    expected = [two_vccs_split(g) for g in graphs]
     real = twovcc.induced_subgraph
 
     def spy(h, s):
@@ -324,10 +359,7 @@ def test_domtree_recurses_on_the_tree_with_more_nontrivial_dominators(monkeypatc
         return real(h, s)
 
     monkeypatch.setattr(twovcc, "induced_subgraph", spy)
-    for seed in (27, 233):
-        g = gen_random(GenSpec(n=13, m=0, model="planted", seed=seed, sizes=(4,) * 4,
-                               strongly_connected=True))
-        assert two_vccs_domtree(g) == two_vccs_split(g), seed
+    assert [two_vccs_domtree(g) for g in graphs] == expected
 
 
 def _metamorphic_graphs():
