@@ -12,7 +12,6 @@ from .connectivity import (
     SccPartition,
     is_strongly_connected,
     strongly_connected_components,
-    undirected_biconnected_components,
 )
 from .dominators import (
     DominatorTree,
@@ -23,14 +22,12 @@ from .dominators import (
 )
 from .graph import (
     DiGraph,
-    UndirectedGraph,
     format_edge_list,
     from_edge_list,
     induced_subgraph,
     read_edge_list,
     remove_vertices,
     reverse,
-    underlying_undirected,
 )
 from .kvcc import (
     VertexCut,
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiGraph",
-    "UndirectedGraph",
     "SccPartition",
     "DominatorTree",
     "VertexCut",
@@ -73,12 +69,10 @@ __all__ = [
     "reverse",
     "induced_subgraph",
     "remove_vertices",
-    "underlying_undirected",
     "read_edge_list",
     "format_edge_list",
     "strongly_connected_components",
     "is_strongly_connected",
-    "undirected_biconnected_components",
     "dominator_tree",
     "nontrivial_dominators",
     "root_children",

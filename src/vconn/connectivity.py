@@ -1,5 +1,8 @@
 """Strongly connected components, the strongly connected piece splitter,
-and undirected biconnected blocks.
+and the biconnected blocks of a digraph's undirected shadow.
+
+The shadow has an edge u-v wherever u->v or v->u is an edge; ``_blocks``
+is the one place in the package that forms it.
 
 Every component recursion in the package (the 2-VCC engines, the
 per-vertex search, the k-VCC split and ``vconn sap``) turns an SCC
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .graph import DiGraph, UndirectedGraph, induced_subgraph
+from .graph import DiGraph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -182,22 +185,27 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return ncomp == 1
 
 
-def _blocks(n: int, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Biconnected blocks of the undirected graph whose adjacency is rows.
+def _blocks(g: DiGraph) -> list[tuple[int, ...]]:
+    """Biconnected blocks of >= 3 vertices of g's undirected shadow.
 
-    A row may list a neighbour twice, as the out- plus in-row of a
-    directed graph does for a bidirected pair.  The search keeps its open
-    vertices, not its edges (Hopcroft-Tarjan in vertex-stack form): each
-    non-root vertex is pushed when discovered, and when a tree child v of
-    p has low[v] >= disc[p], the block is p with every vertex popped down
-    to v.
+    A 2-vertex-connected component stays connected without any one of its
+    vertices, so it lies within one such block; bridges, the blocks of two
+    vertices, hold none and are dropped.  Output is canonical: each block
+    sorted ascending, the list sorted lexicographically.
+
+    The shadow's rows are g's out- plus in-rows, which list a bidirected
+    pair's neighbour twice.  The search keeps its open vertices, not its
+    edges (Hopcroft-Tarjan in vertex-stack form): each non-root vertex is
+    pushed when discovered, and when a tree child v of p has
+    low[v] >= disc[p], the block is p with every vertex popped down to v.
     """
-    disc = [-1] * n
-    low = [0] * n
+    rows = [o + i for o, i in zip(g.out_adj, g.in_adj)]
+    disc = [-1] * g.n
+    low = [0] * g.n
     open_vertices: list[int] = []
     blocks: list[tuple[int, ...]] = []
     counter = 0
-    for root in range(n):
+    for root in range(g.n):
         if disc[root] != -1 or not rows[root]:
             continue
         disc[root] = low[root] = counter
@@ -228,16 +236,6 @@ def _blocks(n: int, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                         block = [p]
                         while block[-1] != v:
                             block.append(open_vertices.pop())
-                        blocks.append(tuple(sorted(block)))
+                        if len(block) >= 3:
+                            blocks.append(tuple(sorted(block)))
     return sorted(blocks)
-
-
-def undirected_biconnected_components(u: UndirectedGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of the biconnected blocks of an undirected graph.
-
-    Every block of size >= 2 is reported, so bridges appear as pairs.
-    Isolated vertices contribute nothing.  Output is canonical: each set
-    sorted ascending, list sorted lexicographically.  ``_blocks`` does the
-    work, on raw rows that may repeat a neighbour.
-    """
-    return _blocks(u.n, u.adj)

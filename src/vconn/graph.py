@@ -1,5 +1,5 @@
-"""Immutable directed/undirected graph types and the subgraph constructions
-used by every algorithm in the package.
+"""The immutable directed graph type and the subgraph constructions used by
+every algorithm in the package.
 
 Vertices are dense integers 0..n-1.  Construction canonicalises the edge
 set: self-loops are dropped, duplicate ordered pairs are collapsed, and
@@ -85,32 +85,6 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={self.m})"
 
 
-class UndirectedGraph:
-    """Immutable undirected graph; edges are deduplicated unordered pairs.
-
-    It is built as the symmetric DiGraph of its pairs, so the range check,
-    loop drop and sorted rows are DiGraph's: ``adj`` is that graph's
-    out-adjacency and ``edges`` its pairs (u, v) with u < v, read from the
-    rows in the order of DiGraph's edges.
-    """
-
-    __slots__ = ("n", "edges", "adj")
-
-    def __init__(self, n: int, pairs: Iterable[Edge]):
-        # (u, v) comes before (v, u), so a bad pair is named as given.
-        shadow = DiGraph(n, (e for u, v in pairs for e in ((u, v), (v, u))))
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = shadow.out_adj
-        self.edges = tuple((u, v) for u, row in enumerate(self.adj) for v in row if u < v)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def __repr__(self) -> str:
-        return f"UndirectedGraph(n={self.n}, m={self.m})"
-
-
 def from_edge_list(n: int, pairs: Iterable[Edge]) -> DiGraph:
     """Build a canonical DiGraph from an edge list with identity labels."""
     return DiGraph(n, pairs)
@@ -154,11 +128,6 @@ def remove_vertices(g: DiGraph, x: Iterable[int]) -> DiGraph:
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
 
 
-def underlying_undirected(g: DiGraph) -> UndirectedGraph:
-    """Undirected shadow of g: {u, v} present iff (u, v) or (v, u) is an edge."""
-    return UndirectedGraph(g.n, g.edges)
-
-
 def strip_labels(g: DiGraph) -> DiGraph:
     """Copy of g with identity origin_labels (rebases a subgraph chain)."""
     return DiGraph._from_adj(g.n, g.out_adj, g.in_adj, tuple(range(g.n)))
@@ -166,8 +135,11 @@ def strip_labels(g: DiGraph) -> DiGraph:
 
 # --- edge-list text format -------------------------------------------------
 #
-# ASCII text.  First non-comment line is "n m", followed by m lines "u v"
-# (0-based decimal: ASCII digits only).  Lines starting with '#' are
+# ASCII text.  A line ends at "\n" alone; the other characters that
+# str.splitlines() breaks at (\r, \v, \f, \x1c-\x1e) are whitespace inside
+# their line.  The CLI reads in text mode, so "\r\n" and "\r" arrive as "\n".
+# First non-comment line is "n m", followed by m lines "u v" (0-based
+# decimal: ASCII digits only).  Lines starting with '#' are
 # comments.  Writers emit edges sorted by (u, v).  A header n above
 # MAX_VERTICES is rejected before anything of size n is allocated.
 
@@ -193,12 +165,12 @@ def _int_pair(row: list[str], name: str, shape: str) -> tuple[int, int]:
 def read_edge_list(source: str | TextIO) -> DiGraph:
     """Parse the canonical edge-list interchange format."""
     text = source if isinstance(source, str) else source.read()
+    lines = text.split("\n")
     if not text.isascii():
-        lines = text.split("\n")
         number = next(i for i, line in enumerate(lines) if not line.isascii())
         raise EdgeListFormatError(f"line {number + 1} is not ASCII text: {lines[number]!a}")
     rows: list[list[str]] = []
-    for line in text.splitlines():
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -106,8 +106,7 @@ def es_fixpoint(g: DiGraph) -> DiGraph:
 def two_vccs_es(g: DiGraph) -> ComponentList:
     """Components via the edge-pruning fixpoint and undirected blocks."""
     pruned = es_fixpoint(g)
-    blocks = _blocks(pruned.n, [o + i for o, i in zip(pruned.out_adj, pruned.in_adj)])
-    comps = [b for b in blocks if len(b) >= 3]
+    comps = _blocks(pruned)
     for c in comps:
         if not is_2vertex_connected(induced_subgraph(pruned, c)):
             raise RuntimeError(f"block {c} is not 2-vertex-connected in the directed sense")
@@ -130,8 +129,7 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
     one per clique, and no split.
     """
     base = strip_labels(g)
-    blocks = _blocks(g.n, [o + i for o, i in zip(base.out_adj, base.in_adj)])
-    work = [h for b in blocks if len(b) >= 3 for h in _strong_pieces(induced_subgraph(base, b))]
+    work = [h for b in _blocks(base) for h in _strong_pieces(induced_subgraph(base, b))]
     out: list[tuple[int, ...]] = []
     while work:
         h = work.pop()  # strongly connected, n >= 3

@@ -416,6 +416,23 @@ def test_non_ascii_file_names_the_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: EdgeListFormatError: line 2 is not ASCII text")
 
 
+def test_a_file_line_ends_at_a_newline_only(tmp_path, capsys):
+    # Files are read in text mode, so CRLF and CR line ends arrive as
+    # "\n"; the separators that only str.splitlines() breaks at stay
+    # inside their line.
+    path = tmp_path / "graph.txt"
+    for ending in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(ending.join([b"3 2", b"0 1", b"1 2", b""]))
+        assert run(["scc", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0", "1", "2"]
+    for separator in (b"\x0b", b"\x1c"):
+        path.write_bytes(b"3 2\n0 1" + separator + b"1 2\n")
+        assert run(["scc", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: EdgeListFormatError: expected 2 edge lines, found 1\n"
+
+
 def test_a_header_above_the_vertex_cap_exits_1(tmp_path, capsys):
     # Rejected before anything of size n is allocated; an edgeless header
     # at the cap already costs a few hundred bytes per vertex.

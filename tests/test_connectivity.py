@@ -13,11 +13,9 @@ from vconn import (
     strongly_connected_components,
     two_vccs,
     two_vccs_containing,
-    underlying_undirected,
-    undirected_biconnected_components,
 )
 from vconn.connectivity import _blocks, _degree_core, _strong_pieces
-from vconn.graph import UndirectedGraph, strip_labels
+from vconn.graph import strip_labels
 from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
 
@@ -191,33 +189,34 @@ def test_degree_core_matches_repeated_deletion():
 
 
 def test_blocks_triangle():
-    u = UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert undirected_biconnected_components(u) == [(0, 1, 2)]
+    assert _blocks(from_edge_list(3, [(0, 1), (1, 2), (2, 0)])) == [(0, 1, 2)]
 
 
 def test_blocks_path_bridges():
-    u = UndirectedGraph(3, [(0, 1), (1, 2)])
-    assert undirected_biconnected_components(u) == [(0, 1), (1, 2)]
+    # A directed path has no block of three or more vertices: its
+    # shadow's blocks are all bridges.
+    assert _blocks(from_edge_list(3, [(0, 1), (1, 2)])) == []
 
 
 def test_blocks_of_pruned_fig1(fig1):
-    pruned = es_fixpoint(fig1)
-    blocks = undirected_biconnected_components(underlying_undirected(pruned))
+    blocks = _blocks(es_fixpoint(fig1))
     assert (0, 3, 4, 5) in blocks
     assert (0, 6, 7) in blocks
 
 
 def test_blocks_share_at_most_one_vertex():
     for g in mixed_corpus(80, base_seed=42):
-        blocks = undirected_biconnected_components(underlying_undirected(g))
+        blocks = _blocks(g)
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
                 assert len(set(blocks[i]) & set(blocks[j])) <= 1
 
 
-def _brute_blocks(u):
-    """Maximal vertex sets S, |S| >= 2, whose induced undirected subgraph is
-    connected and, for |S| >= 3, stays connected without any one vertex."""
+def _brute_blocks(g):
+    """Maximal vertex sets S, |S| >= 2, whose induced subgraph of g's
+    undirected shadow is connected and, for |S| >= 3, stays connected
+    without any one vertex; those of >= 3 vertices."""
+    shadow = [set(o) | set(i) for o, i in zip(g.out_adj, g.in_adj)]
 
     def connected(members):
         members = set(members)
@@ -225,7 +224,7 @@ def _brute_blocks(u):
         seen = {start}
         stack = [start]
         while stack:
-            for w in u.adj[stack.pop()]:
+            for w in shadow[stack.pop()]:
                 if w in members and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -238,27 +237,24 @@ def _brute_blocks(u):
 
     found = [
         set(s)
-        for size in range(2, u.n + 1)
-        for s in combinations(range(u.n), size)
+        for size in range(2, g.n + 1)
+        for s in combinations(range(g.n), size)
         if biconnected(s)
     ]
-    return sorted(tuple(sorted(s)) for s in found if not any(s < t for t in found))
+    return sorted(
+        tuple(sorted(s)) for s in found if len(s) >= 3 and not any(s < t for t in found)
+    )
 
 
 def test_blocks_match_their_definition():
-    # Bridges come out as pairs, and isolated vertices in no block.  The
-    # out- plus in-rows of g list a bidirected pair's neighbour twice.
+    # The out- plus in-rows of g list a bidirected pair's neighbour twice.
     for g in mixed_corpus(300, max_n=8):
-        u = underlying_undirected(g)
-        assert undirected_biconnected_components(u) == _brute_blocks(u), g.edges
-        rows = [o + i for o, i in zip(g.out_adj, g.in_adj)]
-        assert _blocks(g.n, rows) == _brute_blocks(u), g.edges
+        assert _blocks(g) == _brute_blocks(g), g.edges
 
 
 def test_blocks_deterministic():
     for g in mixed_corpus(20, base_seed=77):
-        u = underlying_undirected(g)
-        assert undirected_biconnected_components(u) == undirected_biconnected_components(u)
+        assert _blocks(g) == _blocks(g)
         assert (
             strongly_connected_components(g).components
             == strongly_connected_components(g).components
@@ -274,8 +270,6 @@ def test_searches_deeper_than_the_recursion_limit():
     assert len(strongly_connected_components(directed).components) == 1
     assert dominator_tree(directed, 0).idom[n - 1] == n - 2
     assert len(root_children(dominator_tree(bidirected, 0))) == n - 1
-    assert undirected_biconnected_components(underlying_undirected(bidirected)) == [
-        tuple(range(n))
-    ]
+    assert _blocks(bidirected) == [tuple(range(n))]
     assert two_vccs(bidirected) == [tuple(range(n))]
     assert strong_articulation_points(directed) == set(range(n))

@@ -1,20 +1,18 @@
 import io
 import random
-import re
 
 import pytest
 
 from vconn import (
     DiGraph,
-    UndirectedGraph,
     format_edge_list,
     from_edge_list,
     induced_subgraph,
     read_edge_list,
     remove_vertices,
     reverse,
-    underlying_undirected,
 )
+from vconn.connectivity import _blocks
 from vconn.errors import EdgeListFormatError, VertexOutOfRange
 
 from conftest import FIG1_EDGES, mixed_corpus
@@ -44,30 +42,6 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(1, [(-1, 0)])
     with pytest.raises(VertexOutOfRange, match="vertex count must be non-negative"):
         DiGraph(-1, [])
-    with pytest.raises(VertexOutOfRange, match="vertex count must be non-negative"):
-        UndirectedGraph(-1, [])
-    with pytest.raises(VertexOutOfRange, match=r"edge \(0, 5\) outside \[0, 2\)"):
-        UndirectedGraph(2, [(0, 5)])
-
-
-def test_undirected_graph_canonicalises_its_pairs():
-    # Repeats, both orientations and loops collapse to one sorted edge
-    # per unordered pair, with symmetric sorted rows.
-    u = UndirectedGraph(5, [(3, 1), (1, 3), (1, 3), (2, 2), (0, 4), (4, 0), (3, 0), (4, 4)])
-    assert u.n == 5
-    assert u.edges == ((0, 3), (0, 4), (1, 3))
-    assert u.adj == ((3, 4), (3,), (), (0, 1), (0,))
-    assert u.m == 3
-    assert repr(u) == "UndirectedGraph(n=5, m=3)"
-    empty = UndirectedGraph(0, [])
-    assert (empty.edges, empty.adj, repr(empty)) == ((), (), "UndirectedGraph(n=0, m=0)")
-
-
-def test_undirected_graph_names_a_bad_pair_as_given():
-    for pair in [(2, 7), (7, 2), (-1, 0), (0, -1), (3, 3)]:
-        message = f"edge ({pair[0]}, {pair[1]}) outside [0, 3)"
-        with pytest.raises(VertexOutOfRange, match=re.escape(message)):
-            UndirectedGraph(3, [(0, 1), (1, 0), pair, (9, 9)])
 
 
 def test_adjacency_is_transpose(fig1):
@@ -145,12 +119,6 @@ def test_remove_vertices_tri(tri):
     assert set(g.edges) == {(0, 1), (1, 0)}
 
 
-def test_underlying_undirected_counts(c3, tri, fig1):
-    assert underlying_undirected(c3).m == 3
-    assert underlying_undirected(tri).m == 3
-    assert underlying_undirected(fig1).m == 11
-
-
 def test_label_composition(fig1):
     sub = induced_subgraph(fig1, {0, 3, 4, 5})
     subsub = induced_subgraph(sub, {0, 2})  # local ids for original 0 and 4
@@ -167,7 +135,8 @@ def test_random_invariants():
         assert set(sub.origin_labels) == s
         r = reverse(g)
         assert (r.n, r.m) == (g.n, g.m)
-        assert underlying_undirected(g).edges == underlying_undirected(r).edges
+        # g and its reversal have one undirected shadow.
+        assert _blocks(g) == _blocks(r)
 
 
 def test_edge_list_roundtrip(fig1):
@@ -229,6 +198,18 @@ def test_each_line_fault_has_its_own_message(text, message):
     # Only int()'s own failure is chained.
     is_chained = message.startswith("non-integer")
     assert isinstance(info.value.__cause__, ValueError) is is_chained
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_only_a_newline_ends_an_edge_list_line(separator):
+    # str.splitlines() also breaks at these; the parser reads them as
+    # whitespace inside one line, as the non-ASCII error counts lines by
+    # "\n" alone.
+    with pytest.raises(EdgeListFormatError, match="expected 2 edge lines, found 1"):
+        read_edge_list(f"3 2\n0 1{separator}1 2\n")
+    with pytest.raises(EdgeListFormatError, match="edge line must be 'u v', got '0 1 1 2'"):
+        read_edge_list(f"3 1\n0 1{separator}1 2\n")
+    assert read_edge_list(f"3 1\n0{separator}1{separator}\n").edges == ((0, 1),)
 
 
 def test_edge_list_reads_a_stream_as_its_text(fig1):

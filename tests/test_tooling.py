@@ -293,18 +293,8 @@ def _function(module, qualname):
     return node
 
 
-def test_graph_types_share_one_canonicaliser():
-    # ``UndirectedGraph`` is the symmetric ``DiGraph`` of its pairs: it
-    # keeps no range check, dedup set or sort of its own.
-    init = _function("graph.py", "UndirectedGraph.__init__")
-    called = {
-        node.func.id
-        for node in ast.walk(init)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    assert "DiGraph" in called
-    assert called & {"sorted", "set"} == set()
-    # The edge-range message is raised in one place, by DiGraph.
+def test_only_digraph_init_raises_the_edge_range_message():
+    # Every graph is a ``DiGraph``, and one place checks its edges' range.
     tree = ast.parse((SRC / "graph.py").read_text(encoding="utf-8"))
     edge_range = [
         node.lineno
@@ -319,6 +309,49 @@ def test_graph_types_share_one_canonicaliser():
     assert len(edge_range) == 1
     init = _function("graph.py", "DiGraph.__init__")
     assert init.lineno < edge_range[0] < init.end_lineno
+
+
+def test_only_connectivity_forms_the_undirected_shadow():
+    # ``es`` and ``split`` read the shadow only through ``_blocks``, which
+    # alone joins a vertex's out-row to its in-row.  A join is a ``+`` or
+    # ``|`` over rows zipped from out_adj and in_adj, or of an out_adj and
+    # an in_adj expression; a zip that only reads degrees is no join.
+    assert set(_calls_by_function("_blocks")) == {
+        ("twovcc.py", "two_vccs_es"),
+        ("twovcc.py", "two_vccs_split"),
+    }
+
+    def reads(node, attr):
+        return any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+
+    def joins(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.BitOr))
+
+    def zips_rows(comp):
+        return any(
+            isinstance(gen.iter, ast.Call)
+            and getattr(gen.iter.func, "id", None) == "zip"
+            and reads(gen.iter, "out_adj")
+            and reads(gen.iter, "in_adj")
+            for gen in comp.generators
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (
+            isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+            and zips_rows(node)
+            and any(joins(n) for n in ast.walk(node.elt))
+        )
+        or (
+            joins(node)
+            and {reads(node.left, "out_adj"), reads(node.right, "out_adj")} == {True, False}
+            and {reads(node.left, "in_adj"), reads(node.right, "in_adj")} == {True, False}
+        )
+    ]
+    assert [site.split(":")[0] for site in found] == ["connectivity.py"], found
 
 
 def test_the_deletion_loop_takes_only_its_candidates():

@@ -297,6 +297,51 @@ def test_split_works_block_by_block(monkeypatch):
     assert comps == two_vccs_domtree(g)
 
 
+def _growth_from_n_to_4n(tests, engine, family):
+    # How much ``engine``'s articulation tests and tested vertices grow from
+    # ``family(1000)`` to ``family(4000)``; ``tests`` is the spy's list.
+    work = []
+    for n in (1000, 4000):
+        g = family(n)
+        tests.clear()
+        engine(g)
+        work.append((len(tests), sum(size for size, _ in tests)))
+    (tests_n, vertices_n), (tests_4n, vertices_4n) = work
+    return tests_4n / tests_n, vertices_4n / vertices_n
+
+
+def test_domtree_work_grows_linearly_on_clique_chains(monkeypatch):
+    # A chain of 4-cliques over all n vertices plus a few noise edges
+    # (m = 4n) takes about one test per clique, each on a piece of a few
+    # cliques, so both counts grow as n: 3.98-4.00 over 4x n at seeds 1-3.
+    tests = _spy_on_tests(monkeypatch)
+    for seed in (1, 2, 3):
+
+        def chain(n):
+            sizes = (4,) * ((n - 1) // 3)
+            return gen_random(GenSpec(n=n, m=4 * n, model="planted", sizes=sizes, seed=seed))
+
+        growth = _growth_from_n_to_4n(tests, two_vccs_domtree, chain)
+        assert max(growth) <= 4.5, (seed, growth)
+
+
+def test_split_work_on_a_closed_chain_grows_as_n_log_n(monkeypatch):
+    # A closed bare chain is one block whose points ``split`` halves at the
+    # median: about two tests per clique, and each level of halving tests
+    # every vertex once, so the tested vertices grow as n log n (4.79 over
+    # 4x n, where 4 log 4000 / log 1000 = 4.8).  A first-point pick peels
+    # one clique a split and grows them as n^2, about 16.
+    tests = _spy_on_tests(monkeypatch)
+
+    def closed_chain(n):
+        chain = gen_random(GenSpec(n=n, m=0, model="planted", sizes=(4,) * ((n - 1) // 3)))
+        return from_edge_list(n, (*chain.edges, (n - 1, 0)))
+
+    test_growth, vertex_growth = _growth_from_n_to_4n(tests, two_vccs_split, closed_chain)
+    assert test_growth <= 4.5, test_growth
+    assert vertex_growth <= 6, vertex_growth
+
+
 def test_split_matches_the_oracle_on_small_strongly_connected_graphs():
     for i in range(200):
         n = 6 + i % 7
