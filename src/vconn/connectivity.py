@@ -168,6 +168,25 @@ def _degree_core(h: DiGraph, k: int) -> list[int] | None:
     return [v for v in range(h.n) if alive[v]]
 
 
+def _dense(h: DiGraph, k: int) -> bool:
+    """True when h's degrees alone prove it k-vertex-connected: h has
+    n > k vertices and 2 * delta >= n + k - 2, for delta its least in- or
+    out-degree.
+
+    Remove any set S of fewer than k vertices; each remaining degree falls
+    by at most |S|.  Take u, v of h - S with no edge u->v.  Then N+(u) and
+    N-(v) in h - S lie among its n - |S| - 2 other vertices, and their
+    sizes sum to at least n + k - 2 - 2|S| > n - |S| - 2.  So the two sets
+    meet, and u reaches v in two steps: h - S is strongly connected.  The
+    bound is tight: two bidirected q-cliques sharing k - 1 vertices have
+    2 * delta = n + k - 3 and a cut of k - 1 vertices.
+    """
+    # Every degree must reach ceil((n + k - 2) / 2); the scan stops at the
+    # first that does not, which on a sparse piece is about the first row.
+    need = (h.n + k - 1) // 2
+    return h.n > k and all(len(row) >= need for rows in (h.out_adj, h.in_adj) for row in rows)
+
+
 def strongly_connected_components(g: DiGraph) -> SccPartition:
     """Maximal strongly connected vertex sets, canonically ordered."""
     comp, _ = _scc_ids(g.n, g.out_adj)

@@ -91,7 +91,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._flow import _min_st_vertex_cut
-from .connectivity import _strong_pieces, is_strongly_connected
+from .connectivity import _dense, _strong_pieces, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
 from .graph import DiGraph, induced_subgraph, strip_labels
 from .twovcc import ComponentList, two_vccs_domtree
@@ -233,7 +233,11 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
     cut of fewer than k vertices yet is no k-VCC; on larger pieces the
     same test skips the cut search where no k-VCC can lie.  The same test
     on g itself returns [] before the 2-VCC engine runs, so a k far above
-    the degrees costs O(n + m).
+    the degrees costs O(n + m).  A piece that passes it and whose degrees
+    prove it k-vertex-connected (``connectivity._dense``: n > k and
+    2 * delta >= n + k - 2 for its least degree delta) is output with no
+    cut walk.  ``is_k_vertex_connected`` keeps walking its flows, so it can
+    check those outputs independently.
     """
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
@@ -249,7 +253,7 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
         h = work.pop()
         if _too_few_of_degree(h, k):
             continue
-        cut = next(_cuts_below(h, k), None)
+        cut = None if _dense(h, k) else next(_cuts_below(h, k), None)
         if cut is None:
             out.append(h.origin_labels)
         else:

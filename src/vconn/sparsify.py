@@ -318,8 +318,10 @@ def _problem1(g: DiGraph) -> tuple[ComponentList, tuple[tuple[Edge, ...], ...], 
 
     The components come from one ``two_vccs_domtree`` call, which outputs
     a piece only once its articulation test finds no strong articulation
-    point, so each induced subgraph is 2-vertex-connected and is not
-    tested again.
+    point or its degrees prove it (``connectivity._dense``), so each
+    induced subgraph is 2-vertex-connected and is not tested again.  The
+    certificate's ``split`` has no degree shortcut and re-tests those
+    pieces.
     """
     comps = two_vccs_domtree(g)
     per_component: list[tuple[Edge, ...]] = []

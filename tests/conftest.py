@@ -64,6 +64,37 @@ def mixed_corpus(count: int, base_seed: int = 0, max_n: int = 8):
     return [mixed_random_graph(base_seed + i, max_n) for i in range(count)]
 
 
+def dense_corpus(count: int, base_seed: int, max_n: int):
+    """Seeded graphs of 4..max_n vertices, each ordered pair an edge with one
+    probability p in [0.4, 0.9] per graph: dense enough that some pieces
+    meet the degree bound of ``connectivity._dense`` and some do not."""
+    graphs = []
+    for seed in range(base_seed, base_seed + count):
+        rng = random.Random(seed)
+        n = rng.randint(4, max_n)
+        p = rng.uniform(0.4, 0.9)
+        graphs.append(from_edge_list(
+            n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        ))
+    return graphs
+
+
+def dense_accepts(monkeypatch, module):
+    """Spy on ``module._dense``: the list it returns collects the size of
+    each piece that the degree bound accepts, so that is output untested."""
+    accepted = []
+    real = module._dense
+
+    def spy(h, k):
+        result = real(h, k)
+        if result:
+            accepted.append(h.n)
+        return result
+
+    monkeypatch.setattr(module, "_dense", spy)
+    return accepted
+
+
 # Graph sets that the benchmark's workloads build with seed 1, shared by the
 # tests that pin their work; graph i of set j has generator seed
 # 1000 + 100 j + i.  kvcc3_s, cut_s, sparsify2_s and sparsify3_s run the

@@ -14,12 +14,12 @@ from vconn import (
     two_vccs,
     two_vccs_containing,
 )
-from vconn.connectivity import _blocks, _degree_core, _strong_pieces
+from vconn.connectivity import _blocks, _degree_core, _dense, _strong_pieces
 from vconn.graph import strip_labels
 from vconn.testkit import brute_k_vccs
 from vconn.twovcc import es_fixpoint
 
-from conftest import bidirected, mixed_corpus
+from conftest import bidirected, dense_corpus, mixed_corpus
 
 
 def mutual_reachability_classes(g):
@@ -186,6 +186,26 @@ def test_degree_core_matches_repeated_deletion():
                 assert expected == list(range(g.n)), (k, g.edges)
             else:
                 assert core == expected and len(core) < g.n, (k, g.edges)
+
+
+def test_dense_graphs_are_k_vertex_connected():
+    # The degree bound read against its definition: more than k vertices,
+    # and strongly connected after removing any fewer than k of them.
+    accepted = 0
+    for g in dense_corpus(600, base_seed=189_000, max_n=9):
+        for k in (1, 2, 3, 4):
+            if _dense(g, k):
+                accepted += 1
+                assert g.n > k, (k, g.edges)
+                for size in range(k):
+                    for cut in combinations(range(g.n), size):
+                        assert is_strongly_connected(remove_vertices(g, cut)), (k, cut, g.edges)
+    assert accepted > 250
+    # A complete bidirected graph on n vertices is k-vertex-connected
+    # exactly when n > k.
+    for n in range(1, 7):
+        complete = from_edge_list(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        assert [_dense(complete, k) for k in range(1, 7)] == [n > k for k in range(1, 7)], n
 
 
 def test_blocks_triangle():

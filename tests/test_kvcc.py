@@ -30,7 +30,14 @@ from vconn.testkit import (
     gen_random,
 )
 
-from conftest import KVCC_DENSE_SET, UNIFORM_CUT_SET, bidirected, mixed_corpus
+from conftest import (
+    KVCC_DENSE_SET,
+    UNIFORM_CUT_SET,
+    bidirected,
+    dense_accepts,
+    dense_corpus,
+    mixed_corpus,
+)
 
 
 @pytest.fixture
@@ -203,6 +210,37 @@ def test_four_and_five_vccs_match_brute_force():
     for g in mixed_corpus(120, base_seed=72_000, max_n=9):
         for k in (4, 5):
             assert k_vccs(g, k) == brute_k_vccs(g, k), (k, g.edges)
+
+
+def test_three_vccs_match_flow_confirmed_pieces_on_dense_graphs(monkeypatch):
+    # ``is_k_vertex_connected`` always walks its flows, so it checks the
+    # pieces the loop output on the degree bound alone: each output is
+    # 3-vertex-connected and no other vertex can join it.  Brute force
+    # settles the graphs of at most 9 vertices.
+    accepted = dense_accepts(monkeypatch, vconn.kvcc)
+    for i, g in enumerate(dense_corpus(150, base_seed=187_000, max_n=9)):
+        assert k_vccs(g, 3) == brute_k_vccs(g, 3), i
+    for i, g in enumerate(dense_corpus(200, base_seed=188_000, max_n=14)):
+        for comp in k_vccs(g, 3):
+            assert is_k_vertex_connected(induced_subgraph(g, comp), 3), (i, comp)
+            for v in set(range(g.n)) - set(comp):
+                assert not is_k_vertex_connected(induced_subgraph(g, {*comp, v}), 3), (i, v)
+    assert len(accepted) > 40
+
+
+def test_two_cliques_sharing_k_minus_1_vertices_miss_the_degree_bound(monkeypatch):
+    # Two bidirected q-cliques sharing 2 vertices have n = 2q - 2 and
+    # 2 * delta = 2q - 2 = n + 3 - 3, one short of the bound at k = 3, and
+    # the shared pair cuts them; each clique alone meets the bound.
+    accepted = dense_accepts(monkeypatch, vconn.kvcc)
+    for q in range(4, 8):
+        first, second = range(q), range(q - 2, 2 * q - 2)
+        g = from_edge_list(2 * q - 2, bidirected(
+            [(u, v) for clique in (first, second) for u in clique for v in clique if u < v]
+        ))
+        accepted.clear()
+        assert k_vccs(g, 3) == [tuple(first), tuple(second)], q
+        assert accepted == [q, q], q
 
 
 def test_two_vcc_engine_runs_once_per_call(monkeypatch):

@@ -73,18 +73,20 @@ def test_the_cli_reaches_the_library_only_through_public_names():
 
 def test_reference_engines_do_not_prune_to_the_degree_core():
     # ``split`` recomputes the sparsifier certificates, so the reference
-    # engines share no pruning step with the production engine they check.
+    # engines share no pruning step or degree shortcut with the production
+    # engine they check.
     tree = ast.parse((SRC / "twovcc.py").read_text(encoding="utf-8"))
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
     references = ("es_fixpoint", "two_vccs_es", "two_vccs_split", "two_vccs_containing")
+    shortcuts = {"_degree_core", "_dense"}
     found = [
         f"{name}:{node.lineno}"
         for name in references
         for node in ast.walk(functions[name])
-        if (isinstance(node, ast.Name) and node.id == "_degree_core")
-        or (isinstance(node, ast.Attribute) and node.attr == "_degree_core")
+        if (isinstance(node, ast.Name) and node.id in shortcuts)
+        or (isinstance(node, ast.Attribute) and node.attr in shortcuts)
     ]
     assert found == []
     # ``split`` shares only the articulation test, the piece splitter and
@@ -107,7 +109,7 @@ def test_reference_engines_do_not_prune_to_the_degree_core():
         "_points_and_trees", "_strong_pieces", "strip_labels", "_canonical", "_blocks",
         "induced_subgraph",
     }
-    forbidden = {"nontrivial_dominators", "root_children", "_degree_core"}
+    forbidden = {"nontrivial_dominators", "root_children", "_degree_core", "_dense"}
     assert split_names & forbidden == set()
 
 

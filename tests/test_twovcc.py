@@ -22,7 +22,7 @@ from vconn.errors import UnknownVariant, VertexOutOfRange
 from vconn.testkit import GenSpec, brute_two_vccs, check_domtree_structure, gen_random
 from vconn.twovcc import VARIANTS, _canonical, es_fixpoint
 
-from conftest import FIG1_COMPONENTS, mixed_corpus
+from conftest import FIG1_COMPONENTS, bidirected, dense_accepts, dense_corpus, mixed_corpus
 
 ALL = [two_vccs_es, two_vccs_split, two_vccs_domtree]
 
@@ -312,8 +312,9 @@ def _growth_from_n_to_4n(tests, engine, family):
 
 def test_domtree_work_grows_linearly_on_clique_chains(monkeypatch):
     # A chain of 4-cliques over all n vertices plus a few noise edges
-    # (m = 4n) takes about one test per clique, each on a piece of a few
-    # cliques, so both counts grow as n: 3.98-4.00 over 4x n at seeds 1-3.
+    # (m = 4n): the degree bound accepts each clique untested, so a chain
+    # takes 2-3 tests at either size, the first on the whole chain.  The
+    # tested vertices still grow as n: 3.99-4.00 over 4x n at seeds 1-3.
     tests = _spy_on_tests(monkeypatch)
     for seed in (1, 2, 3):
 
@@ -323,6 +324,52 @@ def test_domtree_work_grows_linearly_on_clique_chains(monkeypatch):
 
         growth = _growth_from_n_to_4n(tests, two_vccs_domtree, chain)
         assert max(growth) <= 4.5, (seed, growth)
+
+
+def test_domtree_matches_the_oracles_on_dense_graphs(monkeypatch):
+    # Edge probabilities 0.4-0.9 give pieces on both sides of the degree
+    # bound, so the untested accepts are checked against engines that test
+    # every piece.
+    accepted = dense_accepts(monkeypatch, twovcc)
+    for i, g in enumerate(dense_corpus(400, base_seed=185_000, max_n=9)):
+        assert two_vccs_domtree(g) == brute_two_vccs(g), i
+    for i, g in enumerate(dense_corpus(600, base_seed=186_000, max_n=11)):
+        assert two_vccs_domtree(g) == two_vccs_split(g), i
+    assert len(accepted) > 250
+
+
+def test_two_cliques_sharing_a_vertex_miss_the_degree_bound(monkeypatch):
+    # Two bidirected q-cliques sharing one vertex have n = 2q - 1 and
+    # 2 * delta = 2q - 2 = n - 1, one short of the bound, and that vertex
+    # cuts them: the bound is tight, and each clique alone meets it.  With
+    # a (q + 1)-clique as the second and an edge from each other vertex of
+    # the first to each other vertex of the second, every out-degree meets
+    # the bound, but the first clique's in-degrees do not, and the shared
+    # vertex still cuts them.
+    accepted = dense_accepts(monkeypatch, twovcc)
+    for q in range(3, 7):
+        for size, one_way in ((q, False), (q + 1, True)):
+            first, second = range(q), range(q - 1, q + size - 1)
+            pairs = bidirected(
+                [(u, v) for clique in (first, second) for u in clique for v in clique if u < v]
+            )
+            if one_way:
+                pairs += [(u, v) for u in first[:-1] for v in second[1:]]
+            g = from_edge_list(q + size - 1, pairs)
+            accepted.clear()
+            assert two_vccs_domtree(g) == [tuple(first), tuple(second)], (q, size)
+            assert sorted(accepted) == [q, size], (q, size)
+
+
+def test_domtree_tests_few_pieces_of_a_planted_chain(monkeypatch):
+    # The benchmark's first planted chain: 333 bidirected 4-cliques plus
+    # noise edges, 335 articulation tests without the degree bound.
+    tests = _spy_on_tests(monkeypatch)
+    g = gen_random(GenSpec(n=1000, m=4000, model="planted", sizes=(4,) * 333, seed=1000))
+    comps = two_vccs_domtree(g)
+    assert len(tests) <= 5, tests
+    monkeypatch.undo()
+    assert comps == two_vccs_split(g)
 
 
 def test_split_work_on_a_closed_chain_grows_as_n_log_n(monkeypatch):
