@@ -58,9 +58,11 @@ labels of its last search with the flow (the kernel's tests read a built
 split network's separators from them).  Only
 ``sparsify._min_degree2_edges`` builds one, for its bipartite budget
 network: every source->sink path there crosses an edge arc of capacity 1
-or the residual of one.  It seeds the flow greedily before calling
-``max_flow``, but a seeded unit is one length-3 path s->u->v'->t, so each
-edge arc still carries 0 or 1 and bottleneck 1 still holds.
+or the residual of one.  It seeds the flow greedily and builds the network
+only when the seed is not already maximum, with each arc carrying its
+seeded flow (``add_edge``'s ``flow``), but a seeded unit is one length-3
+path s->u->v'->t, so each edge arc still carries 0 or 1 and bottleneck 1
+still holds.
 """
 
 from __future__ import annotations
@@ -75,14 +77,16 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
+    def add_edge(self, u: int, v: int, capacity: int, flow: int = 0) -> int:
+        """Add an arc u->v of ``capacity`` that already carries ``flow``,
+        and its reverse; returns the arc's index (the reverse's is index ^ 1)."""
         idx = len(self.to)
         self.adj[u].append(idx)
         self.to.append(v)
-        self.cap.append(capacity)
+        self.cap.append(capacity - flow)
         self.adj[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         return idx
 
     def max_flow(self, s: int, t: int, limit: int) -> tuple[int, list[int]]:

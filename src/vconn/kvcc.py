@@ -93,8 +93,8 @@ from dataclasses import dataclass
 from ._flow import _min_st_vertex_cut
 from .connectivity import _dense, _strong_pieces, is_strongly_connected
 from .errors import InvalidK, NoCutExists, NotStronglyConnected
-from .graph import DiGraph, induced_subgraph, strip_labels
-from .twovcc import ComponentList, two_vccs_domtree
+from .graph import DiGraph
+from .twovcc import ComponentList, _domtree_pieces, two_vccs_domtree
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,10 @@ def _too_few_of_degree(h: DiGraph, k: int) -> bool:
 def k_vccs(g: DiGraph, k: int) -> ComponentList:
     """Vertex sets of the maximal k-vertex-connected subgraphs of g.
 
-    The dominator-tree engine ``two_vccs_domtree`` runs once, and k = 2
-    returns its components.  For k > 2 each component becomes a piece, and
-    one loop applies to every piece: output it if no set X of fewer than k
+    The dominator-tree engine runs once, and k = 2 returns its components.
+    For k > 2 the subgraphs the engine built (``_domtree_pieces``) are
+    the first pieces, so no component's subgraph is built twice, and one
+    loop applies to every piece: output it if no set X of fewer than k
     vertices separates it; otherwise its strong pieces at X (the SCCs of it
     minus X, each rejoined with X and split again) become new pieces.
     This is exact without first computing the (k-1)-VCCs, as the paper's
@@ -243,12 +244,10 @@ def k_vccs(g: DiGraph, k: int) -> ComponentList:
         raise InvalidK(f"k must be >= 2, got {k}")
     if _too_few_of_degree(g, k):
         return []
-    comps = two_vccs_domtree(g)
     if k == 2:
-        return comps
-    base = strip_labels(g)
+        return two_vccs_domtree(g)
     out: list[tuple[int, ...]] = []
-    work = [induced_subgraph(base, c) for c in comps]
+    work = _domtree_pieces(g)
     while work:
         h = work.pop()
         if _too_few_of_degree(h, k):

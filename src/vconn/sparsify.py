@@ -10,11 +10,16 @@ Three nested problems are solved:
 Edges outside the components are irrelevant for problem 1, so it splits
 into independent per-component subproblems: a minimum subgraph with in-
 and out-degree >= 2 everywhere (computed exactly by a deletion flow),
-re-augmented to 2-vertex-connectivity by deletion-minimalisation.  The
-strong-connectivity part of problem 2 is handled on the coarsened graph by
-a union of two arborescences pruned to deletion-minimality, which is at
-most twice the optimum (weaker than the best published ratio, but simple
-and certifiable).
+re-augmented to 2-vertex-connectivity by deletion-minimalisation.  That
+core is a lower bound on any 2-vertex-connected spanning subgraph, and
+each component gets only the work it needs: the flow network is built
+only when the greedy seed is not already a maximum flow, and the
+deletion loop runs only when the core itself is not 2-vertex-connected
+(otherwise the result is the core).  The strong-connectivity part of
+problem 2 is handled on the coarsened graph by a union of two
+arborescences pruned to deletion-minimality, which is at most twice the
+optimum (weaker than the best published ratio, but simple and
+certifiable).
 
 Both prunings are one loop, ``_prune``, and each deletion is tested
 locally by one lemma, for k = 2 and k = 1.  If D is k-vertex-connected
@@ -34,14 +39,17 @@ on a reject, so the flow sees exactly D - e.  Row order is free: a flow
 value does not depend on the order in which a row lists its edges.
 
 Problem 1 is one function, ``_problem1``; problem 2 adds one step on
-the coarsened graph, and problem 3 runs ``_problem1`` again on it.  Each
-vertex set's 2-vertex-connectivity is decided once.  The public
+the coarsened graph, and problem 3 runs ``_problem1`` again on it.  It
+sparsifies each component on the subgraph the engine built for it
+(``twovcc._domtree_pieces``).  Each vertex set's 2-vertex-connectivity is
+decided once; the only graph the sparsifiers test is a component's core,
+which has fewer edges than the component.  The public
 ``min_degree2_subgraph`` and ``approx_2vcss`` check their input, which
 comes from outside; the sparsifiers take it from the engine, as
 ``_problem1`` says.
 
 Every result carries a certificate recomputed by a different engine: the
-components are built with ``two_vccs_domtree`` once per graph and the
+components are built with the ``domtree`` engine once per graph and the
 certificate's components are recomputed once each with
 ``two_vccs_split``.  It proves that the retained graph's components are
 exactly the claimed list.  So it catches a claimed set that is not
@@ -62,12 +70,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._flow import FlowNetwork, _min_st_vertex_cut
-from .articulation import is_2vertex_connected
+from .articulation import _points_and_trees, is_2vertex_connected
 from .connectivity import is_strongly_connected, strongly_connected_components
 from .dominators import _preorder
 from .errors import NotStronglyConnected, NotTwoVertexConnected
-from .graph import DiGraph, Edge, induced_subgraph
-from .twovcc import ComponentList, two_vccs_domtree, two_vccs_split
+from .graph import DiGraph, Edge
+from .twovcc import ComponentList, _canonical, _domtree_pieces, two_vccs_domtree, two_vccs_split
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,14 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     Edmonds-Karp makes the same remaining augmentations, so the same edge
     arcs end saturated.
 
+    The seed runs on plain budget arrays, and the network is built, in
+    the seeded state, only when the seed leaves budget on both sides.  If
+    no out-budget is left, every source arc is saturated, so the seed's
+    flow equals the capacity of the cut around s and is maximum (likewise
+    for the in-budgets and t); Edmonds-Karp would find no augmenting path,
+    and the kept edges are the ones the seed left unused.  Every piece of a
+    chain of bidirected 4-cliques ends so.
+
     g must be 2-vertex-connected, which this public entry point checks;
     ``_problem1`` calls ``_min_degree2_edges`` without the check, and its
     docstring says why.
@@ -199,26 +215,29 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
 def _min_degree2_edges(g: DiGraph) -> tuple[Edge, ...]:
     """``min_degree2_subgraph`` of a g known to be 2-vertex-connected,
     without the check."""
-    n = g.n
-    edges = g.edges
-    source, sink = 0, 1
-    net = FlowNetwork(2 + 2 * n)
-    cap = net.cap
-    source_arcs = [net.add_edge(source, 2 + v, len(g.out_adj[v]) - 2) for v in range(n)]
-    edge_arcs = [net.add_edge(2 + u, 2 + n + v, 1) for u, v in edges]
-    sink_arcs = [net.add_edge(2 + n + v, sink, len(g.in_adj[v]) - 2) for v in range(n)]
-    for (u, v), arc in zip(edges, edge_arcs):
-        a, b = source_arcs[u], sink_arcs[v]
-        if cap[a] > 0 and cap[b] > 0:
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            cap[arc] = 0
-            cap[arc ^ 1] = 1
-            cap[b] -= 1
-            cap[b ^ 1] += 1
-    # len(edges) bounds the flow: each unit saturates one unit edge arc.
-    net.max_flow(source, sink, len(edges))
-    return tuple(e for e, arc in zip(edges, edge_arcs) if cap[arc] > 0)
+    n, edges = g.n, g.edges
+    out_left = [len(row) - 2 for row in g.out_adj]
+    in_left = [len(row) - 2 for row in g.in_adj]
+    used = [0] * len(edges)
+    for i, (u, v) in enumerate(edges):
+        if out_left[u] > 0 and in_left[v] > 0:
+            out_left[u] -= 1
+            in_left[v] -= 1
+            used[i] = 1
+    if any(out_left) and any(in_left):
+        source, sink = 0, 1
+        net = FlowNetwork(2 + 2 * n)
+        for v, left in enumerate(out_left):
+            budget = len(g.out_adj[v]) - 2
+            net.add_edge(source, 2 + v, budget, budget - left)
+        edge_arcs = [net.add_edge(2 + u, 2 + n + v, 1, x) for (u, v), x in zip(edges, used)]
+        for v, left in enumerate(in_left):
+            budget = len(g.in_adj[v]) - 2
+            net.add_edge(2 + n + v, sink, budget, budget - left)
+        # len(edges) bounds the flow: each unit saturates one unit edge arc.
+        net.max_flow(source, sink, len(edges))
+        used = [1 - net.cap[arc] for arc in edge_arcs]
+    return tuple(e for e, x in zip(edges, used) if not x)
 
 
 def _prune(rows: list[list[int]], candidates, still_ok) -> tuple[Edge, ...]:
@@ -264,23 +283,45 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     Starts from the exact minimum degree-2 core and removes every other
     edge whose deletion keeps the graph 2-vertex-connected, scanning in
     descending (u, v) order.  Deletions only get harder as edges go, so a
-    single pass reaches a deletion-minimal superset of the core.
+    single pass reaches a deletion-minimal superset of the core.  When the
+    core alone is 2-vertex-connected the result is the core, found with no
+    deletion test (see ``_prune_to_2vcss``).
 
     g must be 2-vertex-connected: this public entry point checks it
     through ``min_degree2_subgraph``; ``_problem1`` calls
     ``_prune_to_2vcss`` without the check, and its docstring says why.
     """
-    return _prune_to_2vcss(g, set(min_degree2_subgraph(g)))
+    return _prune_to_2vcss(g, min_degree2_subgraph(g))
 
 
-def _prune_to_2vcss(g: DiGraph, core: set[Edge]) -> tuple[Edge, ...]:
-    """``approx_2vcss`` of a 2-vertex-connected g from its degree-2 core.
+def _prune_to_2vcss(g: DiGraph, core: tuple[Edge, ...]) -> tuple[Edge, ...]:
+    """``approx_2vcss`` of a 2-vertex-connected g from its degree-2 core,
+    given ascending.
 
     Each accepted deletion keeps g 2-vertex-connected; that is the
     precondition under which one capped flow on the kept edges decides
     each deletion exactly (see the module docstring).
+
+    Every edge set the loop tests contains the core, and a superset of a
+    2-vertex-connected spanning set is 2-vertex-connected.  So when the
+    core itself is 2-vertex-connected every deletion is accepted, and the
+    result is the core: the loop is skipped.  That is decided first on the
+    core's degrees, by ``connectivity._dense``'s bound for k = 2 (n > 2,
+    which g has, and 2 * delta >= n), and otherwise by one SCC pass and
+    one articulation test on the core's graph.
     """
-    candidates = [e for e in g.edges if e not in core]
+    n = g.n
+    out_deg, in_deg = [0] * n, [0] * n
+    for u, v in core:
+        out_deg[u] += 1
+        in_deg[v] += 1
+    if 2 * min(out_deg + in_deg) >= n:
+        return core
+    h = DiGraph(n, core)
+    if is_strongly_connected(h) and not _points_and_trees(h)[0]:
+        return core
+    kept = set(core)
+    candidates = [e for e in g.edges if e not in kept]
     return _prune([list(row) for row in g.out_adj], candidates, _edge_set_is_2vc)
 
 
@@ -316,18 +357,22 @@ def _problem1(g: DiGraph) -> tuple[ComponentList, tuple[tuple[Edge, ...], ...], 
     """Problem 1 on g: its components, and an approximate 2-VCSS of each,
     per component and united, all in g's own ids whatever g's labels are.
 
-    The components come from one ``two_vccs_domtree`` call, which outputs
-    a piece only once its articulation test finds no strong articulation
-    point or its degrees prove it (``connectivity._dense``), so each
-    induced subgraph is 2-vertex-connected and is not tested again.  The
-    certificate's ``split`` has no degree shortcut and re-tests those
-    pieces.
+    The components and their induced subgraphs come from one
+    ``_domtree_pieces`` call, which outputs a piece only once its
+    articulation test finds no strong articulation point or its degrees
+    prove it (``connectivity._dense``), so each piece is 2-vertex-connected
+    and is not tested again.  ``_canonical`` of their labels gives the
+    component list, with the engine's dedup and size-sum guard, and each
+    component is sparsified on its own piece, with no subgraph rebuilt.
+    The certificate's ``split`` has no degree shortcut and re-tests those
+    components.
     """
-    comps = two_vccs_domtree(g)
+    pieces = {h.origin_labels: h for h in _domtree_pieces(g)}
+    comps = _canonical(pieces, g.n)
     per_component: list[tuple[Edge, ...]] = []
     for comp in comps:
-        sub = induced_subgraph(g, comp)
-        kept = _prune_to_2vcss(sub, set(_min_degree2_edges(sub)))
+        sub = pieces[comp]
+        kept = _prune_to_2vcss(sub, _min_degree2_edges(sub))
         # sub's local ids are comp's ascending members, so the kept edges
         # map through comp and stay ascending.
         per_component.append(tuple((comp[u], comp[v]) for u, v in kept))

@@ -6,7 +6,8 @@ return the same canonical list: each component a sorted tuple of the input
 graph's vertex ids, the list sorted lexicographically and deduplicated.
 
 ``domtree`` is the production engine: ``two_vccs`` by default, the CLI,
-``k_vccs`` and the sparsifiers all use it.  The other three are reference
+``k_vccs`` and the sparsifiers all use it, the last two taking the
+subgraphs it built (``_domtree_pieces``).  The other three are reference
 variants, kept to cross-check it; ``domtree`` never calls them.  ``split``
 also recomputes the sparsifier certificates, so that no certificate comes
 from the engine that built the result.  ``split``, ``domtree`` and
@@ -147,7 +148,19 @@ def two_vccs_split(g: DiGraph) -> ComponentList:
 
 
 def two_vccs_domtree(g: DiGraph) -> ComponentList:
-    """Components via dominator-tree sibling sets (the production engine).
+    """Components via dominator-tree sibling sets (the production engine):
+    the canonical list of ``_domtree_pieces``' vertex sets."""
+    return _canonical([h.origin_labels for h in _domtree_pieces(g)], g.n)
+
+
+def _domtree_pieces(g: DiGraph) -> list[DiGraph]:
+    """The components of g as induced subgraphs, labelled in g's ids.
+
+    Each piece is the subgraph of g induced by one component, its
+    ``origin_labels`` the component's ascending members.  Every split
+    below yields pieces that share at most one vertex, so no component
+    appears twice.  The sparsifiers and the k-VCC loop take the pieces
+    themselves, so no caller rebuilds a subgraph the engine built.
 
     Each round reads the strong articulation points of a strongly
     connected piece h, and the dominator trees of h and of its reversal
@@ -180,9 +193,12 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
     the degrees alone prove it 2-vertex-connected.  Every clique of a
     planted chain of cliques meets that bound, so the benchmark's first
     such chain of 333 cliques takes 3 articulation tests where it took
-    335, one SCC pass and two dominator trees each.
+    335, one SCC pass and two dominator trees each.  A sibling set whose
+    subgraph meets the bound is output at once: being 2-vertex-connected,
+    it is strongly connected and its own (2,2)-core, so its SCC pass and
+    its next pop would only output it again.
     """
-    out: list[tuple[int, ...]] = []
+    out: list[DiGraph] = []
     work = _strong_pieces(strip_labels(g))
     while work:
         h = work.pop()  # strongly connected, n >= 3
@@ -191,11 +207,11 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
             work.extend(_strong_pieces(induced_subgraph(h, core)))
             continue
         if _dense(h, 2):
-            out.append(h.origin_labels)
+            out.append(h)
             continue
         points, t_fwd, t_rev = _points_and_trees(h)
         if not points:
-            out.append(h.origin_labels)
+            out.append(h)
             continue
         if 0 in points:
             work.extend(_strong_pieces(h, (0,)))
@@ -206,8 +222,12 @@ def two_vccs_domtree(g: DiGraph) -> ComponentList:
         for w in range(h.n):
             m_set = chosen.children[w]
             if len(m_set) >= 2:
-                work.extend(_strong_pieces(induced_subgraph(h, (*m_set, w))))
-    return _canonical(out, g.n)
+                sub = induced_subgraph(h, (*m_set, w))
+                if _dense(sub, 2):
+                    out.append(sub)
+                else:
+                    work.extend(_strong_pieces(sub))
+    return out
 
 
 def two_vccs_containing(g: DiGraph, v: int) -> ComponentList:

@@ -16,7 +16,6 @@ from vconn import (
     remove_vertices,
     reverse,
     three_vccs,
-    two_vccs_domtree,
     two_vccs_split,
     vertex_connectivity,
 )
@@ -246,11 +245,13 @@ def test_two_cliques_sharing_k_minus_1_vertices_miss_the_degree_bound(monkeypatc
 def test_two_vcc_engine_runs_once_per_call(monkeypatch):
     calls = []
 
+    domtree_pieces = vconn.kvcc._domtree_pieces
+
     def spy(g):
         calls.append(g.n)
-        return two_vccs_domtree(g)
+        return domtree_pieces(g)
 
-    monkeypatch.setattr(vconn.kvcc, "two_vccs_domtree", spy)
+    monkeypatch.setattr(vconn.kvcc, "_domtree_pieces", spy)
     g = gen_random(GenSpec(n=51, m=330, model="planted", seed=127_300, sizes=(6,) * 10))
     for k in (3, 4):
         calls.clear()

@@ -196,13 +196,14 @@ def test_budget_flow_augmentations_are_pinned(monkeypatch):
 
     monkeypatch.setattr(FlowNetwork, "max_flow", spy)
     # Ten bidirected 4-cliques glued in a chain and nothing else: the seed
-    # saturates every budget of every piece.
+    # saturates every budget of every piece, so it is a maximum flow and
+    # no network is built.
     chain = gen_random(GenSpec(n=31, m=120, model="planted", seed=176_000, sizes=(4,) * 10))
     comps = two_vccs(chain)
     assert len(comps) == 10
     for comp in comps:
         min_degree2_subgraph(induced_subgraph(chain, comp))
-    assert flows == [0] * 10
+    assert flows == []
     flows.clear()
     g = clique_cycle(174_000)
     (comp,) = two_vccs(g)
@@ -471,7 +472,7 @@ def test_components_built_once_and_certified_by_split(monkeypatch):
     g = two_triangles_with_bridge()
     for solver, coarse_graphs in ((sparsify_problem2, 0), (sparsify_problem3, 1)):
         calls = {"domtree": [], "split": []}
-        monkeypatch.setattr(sp, "two_vccs_domtree", spy("domtree", sp.two_vccs_domtree))
+        monkeypatch.setattr(sp, "_domtree_pieces", spy("domtree", sp._domtree_pieces))
         monkeypatch.setattr(sp, "two_vccs_split", spy("split", sp.two_vccs_split))
         result = solver(g)
         monkeypatch.undo()
@@ -559,14 +560,20 @@ BENCHMARK_SETS = {
 # uniform-4n sparsify2 read 540 passes.  The engine outputs a piece that
 # meets the degree bound of ``connectivity._dense`` with no articulation
 # test, so with no SCC pass; before it did, planted-chain read 6,700
-# passes for sparsify2 and 6,695 for sparsify3.
+# passes for sparsify2 and 6,695 for sparsify3.  It also outputs a
+# sibling set that meets the bound with no SCC pass, which took planted-
+# chain from 5,035 and 5,030 passes.  The sparsifier tests a degree-2
+# core that its degrees do not prove with one SCC pass and one
+# articulation test, two passes in all: 28 cores per problem on
+# uniform-4n, which read 439 and 246 passes before, and 16 on
+# kvcc-dense, which read 128 and 112.
 BENCHMARK_WORK = {
-    ("uniform-4n", "sparsify3"): (56, 246),
-    ("uniform-4n", "sparsify2"): (28, 439),
-    ("planted-chain", "sparsify3"): (10, 5_030),
-    ("planted-chain", "sparsify2"): (5, 5_035),
-    ("kvcc-dense", "sparsify3"): (32, 112),
-    ("kvcc-dense", "sparsify2"): (16, 128),
+    ("uniform-4n", "sparsify3"): (56, 302),
+    ("uniform-4n", "sparsify2"): (28, 495),
+    ("planted-chain", "sparsify3"): (10, 3_365),
+    ("planted-chain", "sparsify2"): (5, 3_370),
+    ("kvcc-dense", "sparsify3"): (32, 144),
+    ("kvcc-dense", "sparsify2"): (16, 160),
 }
 BENCHMARK_CALLS = {"sparsify3": sparsify_problem3, "sparsify2": sparsify_problem2}
 
@@ -618,6 +625,93 @@ def test_flow_deletion_test_matches_full_check():
             assert kept == full_check_loop(piece)
             deletions += piece.m - len(kept)
     assert deletions > 1000
+
+
+def test_core_shortcuts_keep_the_deletion_loops_edges(monkeypatch):
+    # ``_prune_to_2vcss`` returns the degree-2 core, with no deletion test,
+    # when the core's degrees or one articulation test prove it
+    # 2-vertex-connected; the loop then could only accept every deletion.
+    # Spies tell which path each piece took, and every path must keep the
+    # edges that the loop alone keeps.
+    import vconn.sparsify as sp
+    from vconn.sparsify import _edge_set_is_2vc, _prune
+
+    def loop_without_shortcut(g):
+        core = set(min_degree2_subgraph(g))
+        candidates = [e for e in g.edges if e not in core]
+        return _prune([list(row) for row in g.out_adj], candidates, _edge_set_is_2vc)
+
+    ran = []
+
+    def spy(name, func):
+        def wrapper(*args):
+            ran.append(name)
+            return func(*args)
+        return wrapper
+
+    graphs = [clique_cycle(170_000 + i) for i in range(6)]
+    graphs += [gen_random(GenSpec(n=60, m=300, seed=171_000 + i, strongly_connected=True))
+               for i in range(6)]
+    graphs += mixed_corpus(200, base_seed=178_000, max_n=10)
+    paths = {"degrees": 0, "articulation": 0, "loop": 0}
+    for g in graphs:
+        for comp in two_vccs(g):
+            piece = induced_subgraph(g, comp)
+            ran.clear()
+            monkeypatch.setattr(sp, "_points_and_trees", spy("articulation", sp._points_and_trees))
+            monkeypatch.setattr(sp, "_prune", spy("loop", sp._prune))
+            kept = approx_2vcss(piece)
+            monkeypatch.undo()
+            assert kept == loop_without_shortcut(piece)
+            paths[ran[-1] if ran else "degrees"] += 1
+    # 5 of the first 12 graphs' pieces still run the loop.
+    assert paths["degrees"] >= 20 and paths["articulation"] >= 40 and paths["loop"] >= 20, paths
+
+
+def test_sparsifier_work_on_the_benchmark_sets(monkeypatch):
+    # Seed-1 sparsify2 sets.  Deletion flows before the core shortcut:
+    # 6,660 on planted-chain, 1,302 on uniform-4n and 3,894 on kvcc-dense.
+    # Before the seed shortcut planted-chain built a budget network for
+    # each of its 1,665 components; the other sets build one per graph.
+    import sys
+
+    import vconn.graph
+    import vconn.sparsify as sp
+
+    work = {"deletion flows": 0, "budget networks": 0}
+    callers = set()
+    is_2vc, max_flow = sp._edge_set_is_2vc, FlowNetwork.max_flow
+    induced = vconn.graph.induced_subgraph
+
+    def spy_is_2vc(*args):
+        work["deletion flows"] += 1
+        return is_2vc(*args)
+
+    def spy_max_flow(*args):
+        work["budget networks"] += 1
+        return max_flow(*args)
+
+    def spy_induced(*args):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return induced(*args)
+
+    monkeypatch.setattr(sp, "_edge_set_is_2vc", spy_is_2vc)
+    monkeypatch.setattr(FlowNetwork, "max_flow", spy_max_flow)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vconn") and getattr(module, "induced_subgraph", None) is induced:
+            monkeypatch.setattr(module, "induced_subgraph", spy_induced)
+    found = {}
+    for family, specs in BENCHMARK_SETS.items():
+        work.update(dict.fromkeys(work, 0))
+        for spec in specs:
+            assert sparsify_problem2(gen_random(spec)).certificate_ok
+        found[family] = dict(work)
+    assert found == {
+        "planted-chain": {"deletion flows": 0, "budget networks": 0},
+        "uniform-4n": {"deletion flows": 46, "budget networks": 28},
+        "kvcc-dense": {"deletion flows": 3_411, "budget networks": 16},
+    }
+    assert "vconn.twovcc" in callers and "vconn.sparsify" not in callers
 
 
 def _shuffled_rows(rows, rng):
@@ -716,8 +810,24 @@ def _count_is_2vc_calls(monkeypatch, call):
 
 
 def test_sparsifiers_take_2_vertex_connectivity_from_the_engine(monkeypatch):
-    # Every component comes from two_vccs_domtree, which proved it
-    # 2-vertex-connected; the sparsifiers do not test it again.
+    # Every component comes from the engine, which proved it
+    # 2-vertex-connected; the sparsifiers do not test it again.  The one
+    # articulation test they make is on a component's degree-2 core, a
+    # graph on its vertices with fewer edges.
+    import vconn.sparsify as sp
+
+    components, tested = [], []
+    prune_to_2vcss, points_and_trees = sp._prune_to_2vcss, sp._points_and_trees
+
+    def spy_prune(g, core):
+        components.append(g)
+        return prune_to_2vcss(g, core)
+
+    def spy_points(h):
+        comp = components[-1]
+        tested.append((h.n == comp.n, h.m < comp.m))
+        return points_and_trees(h)
+
     graphs = [clique_cycle(180_000 + i) for i in range(3)]
     graphs += [gen_random(GenSpec(n=40, m=60, model="planted", seed=180_050 + i,
                                   sizes=(4,) * 13)) for i in range(3)]
@@ -726,11 +836,14 @@ def test_sparsifiers_take_2_vertex_connectivity_from_the_engine(monkeypatch):
     pieces = 0
     for g in graphs:
         for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
+            monkeypatch.setattr(sp, "_prune_to_2vcss", spy_prune)
+            monkeypatch.setattr(sp, "_points_and_trees", spy_points)
             calls, result = _count_is_2vc_calls(monkeypatch, lambda: solver(g))
             assert calls == 0
             assert result.certificate_ok
             pieces += len(result.components)
     assert pieces > 50
+    assert len(tested) >= 15 and set(tested) == {(True, True)}
 
 
 def test_public_entry_points_check_their_input_once(monkeypatch, tri, k4b):
@@ -746,6 +859,10 @@ def test_public_entry_points_check_their_input_once(monkeypatch, tri, k4b):
                 _count_is_2vc_calls(monkeypatch, lambda: func(bad))
 
 
+def _by_labels(pieces):
+    return sorted(pieces, key=lambda h: h.origin_labels)
+
+
 def test_certificate_catches_an_engine_that_merges_two_components(monkeypatch):
     # Two adjacent 4-cliques of a bare chain share one vertex, a strong
     # articulation point, so their union is not 2-vertex-connected.  No
@@ -753,21 +870,21 @@ def test_certificate_catches_an_engine_that_merges_two_components(monkeypatch):
     # rejects it, in all three problems, without raising.
     import vconn.sparsify as sp
 
-    domtree = sp.two_vccs_domtree
+    domtree_pieces = sp._domtree_pieces
 
     def merging(h):
-        comps = domtree(h)
-        if len(comps) < 2:
-            return comps
-        merged = tuple(sorted(set(comps[0]) | set(comps[1])))
-        return sorted([merged, *comps[2:]])
+        pieces = _by_labels(domtree_pieces(h))
+        if len(pieces) < 2:
+            return pieces
+        merged = {*pieces[0].origin_labels, *pieces[1].origin_labels}
+        return [induced_subgraph(h, merged), *pieces[2:]]
 
     failed = 0
     for seed in range(182_000, 182_005):
         g = gen_random(GenSpec(n=40, m=40, model="planted", seed=seed, sizes=(4,) * 13))
         for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
             assert solver(g).certificate_ok
-            monkeypatch.setattr(sp, "two_vccs_domtree", merging)
+            monkeypatch.setattr(sp, "_domtree_pieces", merging)
             result = solver(g)
             monkeypatch.undo()
             assert not is_2vertex_connected(induced_subgraph(g, result.components[0]))
@@ -775,16 +892,23 @@ def test_certificate_catches_an_engine_that_merges_two_components(monkeypatch):
     assert failed == 15
 
 
-def _drop_last_component(comps):
-    return comps[:-1]
+def _drop_last_component(g, pieces):
+    return _by_labels(pieces)[:-1]
 
 
-def _drop_last_vertex_of_first_component(comps):
+def _drop_last_vertex_of_first_component(g, pieces):
     # A 3-set of a bidirected 4-clique is still 2-vertex-connected.
-    return [comps[0][:-1], *comps[1:]] if comps else comps
+    if not pieces:
+        return pieces
+    first, *rest = _by_labels(pieces)
+    return [induced_subgraph(g, first.origin_labels[:-1]), *rest]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+class CertificateMissedTheDrop(Exception):
+    pass
+
+
+@pytest.mark.xfail(strict=True, raises=CertificateMissedTheDrop, reason="ROADMAP item 1")
 @pytest.mark.parametrize(
     "drop", [_drop_last_component, _drop_last_vertex_of_first_component],
     ids=["component", "vertex"],
@@ -793,18 +917,21 @@ def test_certificate_catches_an_engine_that_drops_a_component_or_a_vertex(monkey
     # The certificate recomputes the retained graph's components.  An
     # engine that leaves a component, or a vertex of one, out of its list
     # keeps no edge of it, so the retained graph lacks it too and the two
-    # lists agree: only a check against g itself would see the drop.
+    # lists agree: only a check against g itself would see the drop.  The
+    # expected failure is only that one; a mutant that changed nothing
+    # fails the test outright.
     import vconn.sparsify as sp
 
-    domtree = sp.two_vccs_domtree
+    domtree_pieces = sp._domtree_pieces
     failed = 0
     for seed in range(182_000, 182_005):
         g = gen_random(GenSpec(n=40, m=40, model="planted", seed=seed, sizes=(4,) * 13))
         for solver in (sparsify_problem1, sparsify_problem2, sparsify_problem3):
             assert solver(g).certificate_ok
-            monkeypatch.setattr(sp, "two_vccs_domtree", lambda h: drop(domtree(h)))
+            monkeypatch.setattr(sp, "_domtree_pieces", lambda h: drop(h, domtree_pieces(h)))
             result = solver(g)
             monkeypatch.undo()
             assert list(result.components) != two_vccs(g)
             failed += result.certificate_ok is False
-    assert failed == 15
+    if failed != 15:
+        raise CertificateMissedTheDrop(f"{failed} of 15 certificates failed")

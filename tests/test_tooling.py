@@ -225,7 +225,8 @@ def test_problem1_is_built_in_one_place():
     def in_sparsify(name):
         return {fn for path, fn in _calls_by_function(name) if path == "sparsify.py"}
 
-    assert in_sparsify("two_vccs_domtree") == {"coarsen", "_problem1"}
+    assert in_sparsify("_domtree_pieces") == {"_problem1"}
+    assert in_sparsify("two_vccs_domtree") == {"coarsen"}
     assert in_sparsify("_min_degree2_edges") == {"min_degree2_subgraph", "_problem1"}
     assert in_sparsify("_problem1") == {f"sparsify_problem{i}" for i in (1, 2, 3)}
 

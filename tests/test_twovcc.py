@@ -372,6 +372,25 @@ def test_domtree_tests_few_pieces_of_a_planted_chain(monkeypatch):
     assert comps == two_vccs_split(g)
 
 
+@pytest.mark.parametrize("ring", [3, 4], ids=["clique-tree", "cactus"])
+@pytest.mark.parametrize("engine", [two_vccs_split, two_vccs_domtree], ids=["split", "domtree"])
+def test_work_on_trees_of_blocks_grows_linearly(monkeypatch, engine, ring):
+    # 250 and 1,000 blocks in a random tree.  ``split`` tests each block
+    # once; ``domtree`` tests the whole graph and then its sibling sets,
+    # about 7.5 tested vertices per clique and 14.6 per 5-cycle at seed 7.
+    # That constant is bimodal across seeds: over seeds 1-8 and 125 to
+    # 4,000 blocks it read 4.5-7.6 per clique and 10.5-14.7 per 5-cycle,
+    # and one seed switched mode between 500 and 1,000 cliques.  So the
+    # bound reads growth at one seed whose mode holds at both sizes.
+    tests = _spy_on_tests(monkeypatch)
+
+    def tree(n):
+        return _blocks_in_a_random_tree(n // 4, ring, seed=7)
+
+    growth = _growth_from_n_to_4n(tests, engine, tree)
+    assert max(growth) <= 4.5, growth
+
+
 def test_split_work_on_a_closed_chain_grows_as_n_log_n(monkeypatch):
     # A closed bare chain is one block whose points ``split`` halves at the
     # median: about two tests per clique, and each level of halving tests
