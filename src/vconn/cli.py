@@ -106,11 +106,8 @@ def _sparsify(g: DiGraph, args) -> dict:
 
 
 def _sparsify_text(value: dict) -> list[str]:
-    # The edge-list format, written directly: a result's edges are already
-    # sorted and distinct.
-    edges = value["edges"]
-    return [f"{value['n']} {len(edges)}", *(f"{u} {v}" for u, v in edges),
-            f"# retained {value['retained']} of {value['of']} edges"]
+    lines = format_edge_list(DiGraph(value["n"], value["edges"])).splitlines()
+    return [*lines, f"# retained {value['retained']} of {value['of']} edges"]
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -200,8 +200,11 @@ def min_degree2_subgraph(g: DiGraph) -> tuple[Edge, ...]:
     no out-budget is left, every source arc is saturated, so the seed's
     flow equals the capacity of the cut around s and is maximum (likewise
     for the in-budgets and t); Edmonds-Karp would find no augmenting path,
-    and the kept edges are the ones the seed left unused.  Every piece of a
-    chain of bidirected 4-cliques ends so.
+    and the kept edges are the ones the seed left unused.
+
+    Every vertex keeps in- and out-degree >= 2, so on n <= 4 vertices the
+    kept edges are 2-vertex-connected by ``connectivity._dense``'s bound
+    for k = 2 (2 * 2 >= n), and ``approx_2vcss`` returns them unchanged.
 
     g must be 2-vertex-connected, which this public entry point checks;
     ``_problem1`` calls ``_min_degree2_edges`` without the check, and its
@@ -285,7 +288,9 @@ def approx_2vcss(g: DiGraph) -> tuple[Edge, ...]:
     descending (u, v) order.  Deletions only get harder as edges go, so a
     single pass reaches a deletion-minimal superset of the core.  When the
     core alone is 2-vertex-connected the result is the core, found with no
-    deletion test (see ``_prune_to_2vcss``).
+    deletion test: on its size when it has at most 4 vertices, since its
+    degrees are all >= 2, and otherwise by one articulation test (see
+    ``_prune_to_2vcss``).
 
     g must be 2-vertex-connected: this public entry point checks it
     through ``min_degree2_subgraph``; ``_problem1`` calls
@@ -305,19 +310,17 @@ def _prune_to_2vcss(g: DiGraph, core: tuple[Edge, ...]) -> tuple[Edge, ...]:
     Every edge set the loop tests contains the core, and a superset of a
     2-vertex-connected spanning set is 2-vertex-connected.  So when the
     core itself is 2-vertex-connected every deletion is accepted, and the
-    result is the core: the loop is skipped.  That is decided first on the
-    core's degrees, by ``connectivity._dense``'s bound for k = 2 (n > 2,
-    which g has, and 2 * delta >= n), and otherwise by one SCC pass and
-    one articulation test on the core's graph.
+    result is the core: the loop is skipped.  A core of at most 4 vertices
+    is so on its size alone.  Every in- and out-degree of the core is at
+    least 2, and g, being 2-vertex-connected, has n >= 3; so for n <= 4
+    the core meets ``connectivity._dense``'s bound for k = 2 (n > 2 and
+    2 * delta >= 4 >= n), which proves it 2-vertex-connected.  A larger
+    core is decided by one SCC pass and one articulation test on its
+    graph.
     """
-    n = g.n
-    out_deg, in_deg = [0] * n, [0] * n
-    for u, v in core:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    if 2 * min(out_deg + in_deg) >= n:
+    if g.n <= 4:
         return core
-    h = DiGraph(n, core)
+    h = DiGraph(g.n, core)
     if is_strongly_connected(h) and not _points_and_trees(h)[0]:
         return core
     kept = set(core)

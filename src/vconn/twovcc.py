@@ -35,11 +35,12 @@ Variants:
                   prove it 2-vertex-connected (``connectivity._dense``)
                   untested.  Otherwise one rule per round, from the
                   articulation test at vertex 0: output a piece with no
-                  points; split it like ``split`` when vertex 0 is a point;
-                  otherwise recurse on the children sets of one of the two
-                  dominator trees at vertex 0, exploiting that every
-                  component is a set of siblings (plus possibly the common
-                  parent).  O(n * m).
+                  points; split it at vertex 0 like ``split`` when vertex 0
+                  is its only point; otherwise recurse on the children
+                  sets of one of the two dominator trees at vertex 0,
+                  since every component is a set of siblings (plus
+                  possibly their parent) in the dominator tree from any
+                  root, a point or not.  O(n * m).
 
 The core step is exact because every vertex of a component C has in- and
 out-degree >= 2 inside C (with one in-neighbour u in C, removing u would
@@ -60,11 +61,7 @@ from .dominators import nontrivial_dominators, root_children
 from .errors import UnknownVariant, VertexOutOfRange
 from .graph import DiGraph, induced_subgraph, strip_labels
 
-Component = tuple[int, ...]
-ComponentList = list[Component]
-
-VARIANTS = ("es", "split", "domtree", "per-vertex")
-
+ComponentList = list[tuple[int, ...]]
 
 def _canonical(comps, n: int) -> ComponentList:
     out = sorted({tuple(sorted(c)) for c in comps})
@@ -165,38 +162,39 @@ def _domtree_pieces(g: DiGraph) -> list[DiGraph]:
     Each round reads the strong articulation points of a strongly
     connected piece h, and the dominator trees of h and of its reversal
     rooted at vertex 0, from one articulation test.  With no points, h is
-    a component.  If vertex 0 is a point, h splits at it as in ``split``;
-    vertex 0 is then no point of the resulting pieces, since removing it
-    leaves one SCC.  Otherwise every component appears inside some
-    children set M(w) of the chosen tree (together with w itself), so the
-    round recurses on the subgraphs induced by M(w) + {w} with |M(w)| >= 2.
+    a component.  Otherwise the round rests on the paper's lemma: in the
+    dominator tree of h from any root, a point or not, each component C
+    lies in one children set M(w) together with w.  Let d be the
+    immediate dominator of a vertex v of C.  C - d is strongly connected,
+    so a path from the root to another vertex of C that missed d would go
+    on to v inside C - d: d dominates all of C but itself.  So at most one
+    vertex c of C is the immediate dominator of another (two would
+    dominate each other).  For v, v' of C other than c, the immediate
+    dominator of each dominates the other, so each is the other or above
+    it: they are one vertex w, which is c when c exists.  The round
+    recurses on the subgraphs induced by M(w) + {w} with |M(w)| >= 2 in
+    the tree with more non-trivial dominators.
 
-    The chosen tree is the one with more non-trivial dominators, and that
-    choice is what makes progress.  Some vertex other than 0 is a point,
-    so it dominates in one of the two trees; a tree with no non-trivial
-    dominator has every vertex as a child of vertex 0, its one sibling set
-    M(0) + {0} is all of h, and recursing on it would push h again
-    forever.  In a tree with one, a vertex below it is no child of 0, so
-    every sibling set is smaller than h.  Fixed to either tree, the engine loops on chains of
-    cliques: always taking the forward tree, it did not finish in 30 s on
-    a planted 1000-vertex chain of 4-cliques that it takes 0.05 s on as
-    written (2 vCPUs, Python 3.11).
+    That recursion makes progress exactly when the chosen tree has a
+    non-trivial dominator: a vertex below one is no child of vertex 0, so
+    every sibling set is smaller than h.  A tree with none has every
+    vertex as a child of vertex 0, and its one sibling set M(0) + {0} is
+    all of h.  The points other than vertex 0 are the non-trivial
+    dominators of the two trees, so only when vertex 0 is the only point
+    does neither tree have one.  Then h splits at vertex 0 as in
+    ``split``: the pieces of h - 0, each rejoined with 0.
 
     Before its round, a piece with a vertex of in- or out-degree below 2
     is replaced by the SCCs of its (2,2)-core, which is exact since each
     vertex of a component has two in- and two out-neighbours inside it.
-    The peel costs O(n + m) and drops at once the degree-1 fringe that a
-    round would remove one layer at a time; on uniform graphs with m = 4n
-    this leaves one round per call where 10-20 were needed without it.
-    A piece that is its own (2,2)-core is then output with no round when
-    ``_dense(h, 2)`` holds, 2 * delta >= n for its least degree delta:
-    the degrees alone prove it 2-vertex-connected.  Every clique of a
-    planted chain of cliques meets that bound, so the benchmark's first
-    such chain of 333 cliques takes 3 articulation tests where it took
-    335, one SCC pass and two dominator trees each.  A sibling set whose
-    subgraph meets the bound is output at once: being 2-vertex-connected,
-    it is strongly connected and its own (2,2)-core, so its SCC pass and
-    its next pop would only output it again.
+    The peel costs O(n + m) and drops at once the degree-1 fringe that
+    rounds would remove one layer at a time.  A piece that is its own
+    (2,2)-core is then output with no round when ``_dense(h, 2)`` holds,
+    2 * delta >= n for its least degree delta: the degrees alone prove it
+    2-vertex-connected.  A sibling set whose subgraph meets the bound is
+    output at once: being 2-vertex-connected, it is strongly connected and
+    its own (2,2)-core, so its SCC pass and its next pop would only output
+    it again.
     """
     out: list[DiGraph] = []
     work = _strong_pieces(strip_labels(g))
@@ -213,7 +211,7 @@ def _domtree_pieces(g: DiGraph) -> list[DiGraph]:
         if not points:
             out.append(h)
             continue
-        if 0 in points:
+        if points == {0}:
             work.extend(_strong_pieces(h, (0,)))
             continue
         chosen = t_fwd
@@ -261,21 +259,24 @@ def two_vccs_containing(g: DiGraph, v: int) -> ComponentList:
     return _canonical(out, g.n)
 
 
+def _two_vccs_per_vertex(g: DiGraph) -> ComponentList:
+    """Components as the union over all v of ``two_vccs_containing(g, v)``."""
+    return _canonical([c for v in range(g.n) for c in two_vccs_containing(g, v)], g.n)
+
+
+# The variants by name, in the order that ``UnknownVariant`` and the CLI list.
+VARIANTS = {"es": two_vccs_es, "split": two_vccs_split, "domtree": two_vccs_domtree,
+            "per-vertex": _two_vccs_per_vertex}
+
+
 def two_vccs(g: DiGraph, algo: str = "domtree") -> ComponentList:
     """Dispatch to one of the four variants; identical output contract.
 
     The default ``domtree`` is the production engine; ``es``, ``split``
     and ``per-vertex`` are reference variants for cross-checking.
     """
-    if algo == "es":
-        return two_vccs_es(g)
-    if algo == "split":
-        return two_vccs_split(g)
-    if algo == "domtree":
-        return two_vccs_domtree(g)
-    if algo == "per-vertex":
-        comps: list[Component] = []
-        for v in range(g.n):
-            comps.extend(two_vccs_containing(g, v))
-        return _canonical(comps, g.n)
-    raise UnknownVariant(f"unknown 2-vcc variant {algo!r}; expected one of {VARIANTS}")
+    names = tuple(VARIANTS)
+    # A tuple is searched by ==, so an unhashable algo is rejected here too.
+    if algo not in names:
+        raise UnknownVariant(f"unknown 2-vcc variant {algo!r}; expected one of {names}")
+    return VARIANTS[algo](g)

@@ -16,6 +16,7 @@ from vconn import (
     sparsify_problem1,
     sparsify_problem2,
     sparsify_problem3,
+    strong_articulation_points,
     two_vccs,
 )
 from vconn._flow import FlowNetwork
@@ -218,6 +219,45 @@ def test_approx_2vcss(tri, k4b):
     assert set(approx_2vcss(c4b)) == set(c4b.edges)
     with pytest.raises(NotTwoVertexConnected):
         approx_2vcss(from_edge_list(2, [(0, 1), (1, 0)]))
+
+
+def test_a_core_of_at_most_4_vertices_is_returned_on_its_size(monkeypatch):
+    # Every in- and out-degree of the degree-2 core is at least 2, which on
+    # 3 or 4 vertices meets ``connectivity._dense``'s bound: the core is
+    # 2-vertex-connected, and ``approx_2vcss`` returns it with no
+    # articulation test.  Checked on every edge set of 3 and 4 vertices.
+    import vconn.sparsify as sp
+
+    tested = []
+    real = sp._points_and_trees
+
+    def spy(h, *args):
+        tested.append(h.n)
+        return real(h, *args)
+
+    monkeypatch.setattr(sp, "_points_and_trees", spy)
+    found = []
+    for n in (3, 4):
+        pairs = list(permutations(range(n), 2))
+        found.append(0)
+        for mask in range(1 << len(pairs)):
+            g = from_edge_list(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if is_2vertex_connected(g):
+                found[-1] += 1
+                assert approx_2vcss(g) == min_degree2_subgraph(g), g.edges
+    assert found == [1, 108]
+    assert tested == []
+    # On 5 vertices the degrees no longer decide: this graph is
+    # 2-vertex-connected, but vertex 2 cuts its core, so the core must be
+    # tested and the deletion loop keeps one more edge.
+    g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 3), (1, 4),
+                           (2, 1), (2, 4), (3, 0), (3, 2), (4, 0), (4, 1)])
+    core = min_degree2_subgraph(g)
+    assert is_2vertex_connected(g)
+    assert strong_articulation_points(from_edge_list(5, core)) == {2}
+    kept = approx_2vcss(g)
+    assert tested == [5]
+    assert len(kept) == len(core) + 1 and is_2vertex_connected(from_edge_list(5, kept))
 
 
 def test_approx_2vcss_keeps_degrees_and_connectivity():
@@ -563,8 +603,8 @@ BENCHMARK_SETS = {
 # passes for sparsify2 and 6,695 for sparsify3.  It also outputs a
 # sibling set that meets the bound with no SCC pass, which took planted-
 # chain from 5,035 and 5,030 passes.  The sparsifier tests a degree-2
-# core that its degrees do not prove with one SCC pass and one
-# articulation test, two passes in all: 28 cores per problem on
+# core of more than 4 vertices with one SCC pass and one articulation
+# test, two passes in all: 28 cores per problem on
 # uniform-4n, which read 439 and 246 passes before, and 16 on
 # kvcc-dense, which read 128 and 112.
 BENCHMARK_WORK = {
@@ -629,10 +669,10 @@ def test_flow_deletion_test_matches_full_check():
 
 def test_core_shortcuts_keep_the_deletion_loops_edges(monkeypatch):
     # ``_prune_to_2vcss`` returns the degree-2 core, with no deletion test,
-    # when the core's degrees or one articulation test prove it
-    # 2-vertex-connected; the loop then could only accept every deletion.
-    # Spies tell which path each piece took, and every path must keep the
-    # edges that the loop alone keeps.
+    # when the core has at most 4 vertices (the size rule) or one
+    # articulation test proves it 2-vertex-connected; the loop then could
+    # only accept every deletion.  Spies tell which path each piece took,
+    # and every path must keep the edges that the loop alone keeps.
     import vconn.sparsify as sp
     from vconn.sparsify import _edge_set_is_2vc, _prune
 
@@ -653,7 +693,7 @@ def test_core_shortcuts_keep_the_deletion_loops_edges(monkeypatch):
     graphs += [gen_random(GenSpec(n=60, m=300, seed=171_000 + i, strongly_connected=True))
                for i in range(6)]
     graphs += mixed_corpus(200, base_seed=178_000, max_n=10)
-    paths = {"degrees": 0, "articulation": 0, "loop": 0}
+    paths = {"size": 0, "articulation": 0, "loop": 0}
     for g in graphs:
         for comp in two_vccs(g):
             piece = induced_subgraph(g, comp)
@@ -663,9 +703,9 @@ def test_core_shortcuts_keep_the_deletion_loops_edges(monkeypatch):
             kept = approx_2vcss(piece)
             monkeypatch.undo()
             assert kept == loop_without_shortcut(piece)
-            paths[ran[-1] if ran else "degrees"] += 1
+            paths[ran[-1] if ran else "size"] += 1
     # 5 of the first 12 graphs' pieces still run the loop.
-    assert paths["degrees"] >= 20 and paths["articulation"] >= 40 and paths["loop"] >= 20, paths
+    assert paths["size"] >= 20 and paths["articulation"] >= 40 and paths["loop"] >= 20, paths
 
 
 def test_sparsifier_work_on_the_benchmark_sets(monkeypatch):

@@ -60,8 +60,9 @@ def test_facade(fig1):
     empty = from_edge_list(0, [])
     for algo in VARIANTS:
         assert two_vccs(empty, algo) == []
-    with pytest.raises(UnknownVariant):
-        two_vccs(fig1, "bogus")
+    for bogus in ("bogus", ["es"]):
+        with pytest.raises(UnknownVariant):
+            two_vccs(fig1, bogus)
 
 
 def test_vertices_1_2_in_no_component(fig1):
@@ -376,12 +377,7 @@ def test_domtree_tests_few_pieces_of_a_planted_chain(monkeypatch):
 @pytest.mark.parametrize("engine", [two_vccs_split, two_vccs_domtree], ids=["split", "domtree"])
 def test_work_on_trees_of_blocks_grows_linearly(monkeypatch, engine, ring):
     # 250 and 1,000 blocks in a random tree.  ``split`` tests each block
-    # once; ``domtree`` tests the whole graph and then its sibling sets,
-    # about 7.5 tested vertices per clique and 14.6 per 5-cycle at seed 7.
-    # That constant is bimodal across seeds: over seeds 1-8 and 125 to
-    # 4,000 blocks it read 4.5-7.6 per clique and 10.5-14.7 per 5-cycle,
-    # and one seed switched mode between 500 and 1,000 cliques.  So the
-    # bound reads growth at one seed whose mode holds at both sizes.
+    # once; ``domtree`` tests the whole graph and then its sibling sets.
     tests = _spy_on_tests(monkeypatch)
 
     def tree(n):
@@ -389,6 +385,21 @@ def test_work_on_trees_of_blocks_grows_linearly(monkeypatch, engine, ring):
 
     growth = _growth_from_n_to_4n(tests, engine, tree)
     assert max(growth) <= 4.5, growth
+
+
+@pytest.mark.parametrize("ring, bound", [(3, 5), (4, 11)], ids=["clique-tree", "cactus"])
+def test_domtree_tests_few_vertices_per_block_of_a_tree(monkeypatch, ring, bound):
+    # Vertex 0 of a tree of blocks is often a point, but rarely the only
+    # one, so the round recurses on sibling sets at once: the whole graph
+    # is tested once, and then only the sibling sets of several blocks.  A
+    # split at vertex 0 whenever it is a point peels only the blocks at 0
+    # and tests almost the whole graph again, 7.3-7.6 vertices per clique
+    # and 14.5-14.7 per 5-cycle at most of these seeds.
+    tests = _spy_on_tests(monkeypatch)
+    for seed in range(1, 9):
+        tests.clear()
+        assert len(two_vccs_domtree(_blocks_in_a_random_tree(250, ring, seed))) == 250
+        assert sum(size for size, _ in tests) <= bound * 250, (seed, tests[:3])
 
 
 def test_split_work_on_a_closed_chain_grows_as_n_log_n(monkeypatch):
